@@ -119,6 +119,30 @@ from repro.sweep import (
 __all__ = ["main", "build_parser"]
 
 
+def _scale(text: str) -> float:
+    """argparse type for ``--scale``: a dataset scale factor in (0, 1]."""
+    try:
+        value = float(text)
+        valid = 0 < value <= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"invalid scale {text!r}: must be in (0, 1]")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for ``--seed``: an integer >= 0."""
+    try:
+        value = int(text)
+        valid = value >= 0
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be an integer >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -156,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="GNN family (Table III); --model is accepted as an alias",
     )
     profile_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    profile_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    profile_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     profile_parser.add_argument(
         "--design",
         default=None,
@@ -266,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
     )
     cache_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    cache_parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    cache_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     cache_parser.add_argument(
         "--mechanism",
         default="victim,miss,stream",
@@ -335,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
         "silicon and are swept once regardless",
     )
     sweep_parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_scale, default=None,
         help="dataset scale override in (0, 1] applied to every dataset "
         "(default: each dataset's registry scale)",
     )
     sweep_parser.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="base seed; per-dataset seeds are derived deterministically from it",
     )
     sweep_parser.add_argument(
@@ -433,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
     )
     tune_parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
     tune_parser.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_seed, default=0,
         help="base seed for the dataset and the per-generation proposer RNG",
     )
     tune_parser.add_argument(
@@ -483,9 +507,9 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
         "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
     )
     parser.add_argument(
-        "--scale", type=float, default=None, help="dataset scale factor in (0, 1]"
+        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
     )
-    parser.add_argument("--seed", type=int, default=0, help="dataset generation seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
     parser.add_argument(
         "--design",
         default=None,
@@ -950,8 +974,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.scale is not None and not 0 < args.scale <= 1:
-            raise ValueError("--scale must be in (0, 1]")
         datasets = _split_axis(args.datasets, all_values=dataset_names(), axis="datasets")
         models = _split_axis(args.models, all_values=list(MODEL_FAMILIES), axis="models")
         backends = _split_axis(args.backends, all_values=executor_names(), axis="backends")
@@ -1108,8 +1130,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.scale is not None and not 0 < args.scale <= 1:
-            raise ValueError("--scale must be in (0, 1]")
         spec = TuneSpec(
             dataset=args.dataset,
             family=args.model,

@@ -1,23 +1,24 @@
 """Per-(plan, graph) pricing precompute shared across config batches.
 
-Config-axis batch execution (``GNNIEExecutor.execute_batch``, the sweep
-runner's per-group dispatch) prices thousands of near-identical plans that
-differ only in their :class:`~repro.hw.config.AcceleratorConfig`.  Every
-quantity here is a pure function of the *graph* alone — CSR content
-fingerprints, sampled adjacencies, per-block nonzero counts, exact RLC
-sizes, undirected edge indexes — so computing it once per graph and sharing
-it across configs (and across executor instances, and across GNN families)
-cannot change a single row byte.
+The sweep runner's per-group dispatch prices thousands of near-identical
+plans that differ only in their
+:class:`~repro.hw.config.AcceleratorConfig`.  Every quantity here is a pure
+function of the *graph* alone — CSR content fingerprints, sampled
+adjacencies, per-block nonzero counts, exact RLC sizes, undirected edge
+indexes — so computing it once per graph and sharing it across configs
+(and across executor instances, and across GNN families) cannot change a
+single row byte.
 
 Config-*dependent* memoization (cache-policy simulations, priced phase
 results) deliberately stays per :class:`~repro.sim.gnnie_executor.GNNIEExecutor`
-instance: the sweep worker creates one executor per dataset group, so batch
-cells share those memos while the scalar per-cell path keeps its
-fresh-executor purity guarantee.
+instance: the sweep worker creates one executor per backend per dataset
+group, so a group's cells share those memos while a group of one (a single
+``run_cell``) keeps its fresh-executor purity guarantee.
 
 Contexts are keyed by graph identity and dropped when the graph is garbage
-collected, so a long-lived process (the ``jobs=1`` sweep loop, the
-benchmark session) holds at most one context per live graph.
+collected or :func:`clear_pricing_contexts` is called, so a long-lived
+process (the ``jobs=1`` sweep loop, the benchmark session) holds at most
+one context per live graph.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class GraphPricingContext:
 
     def __init__(self, graph: Graph) -> None:
         self._graph_ref = weakref.ref(graph)
+        #: Evicts this context from the registry when the graph dies (set by
+        #: :func:`pricing_context`; detached by :func:`clear_pricing_contexts`).
+        self.finalizer: weakref.finalize | None = None
         #: id(adjacency) -> (adjacency, fingerprint).  The strong reference
         #: pins the adjacency so its id cannot be re-used while memoized.
         self._fingerprints: dict[int, tuple[CSRGraph, tuple[int, int, int]]] = {}
@@ -186,7 +190,7 @@ def pricing_context(graph: Graph) -> GraphPricingContext:
         return context
     context = GraphPricingContext(graph)
     _CONTEXTS[key] = context
-    weakref.finalize(graph, _evict_context, key, context)
+    context.finalizer = weakref.finalize(graph, _evict_context, key, context)
     return context
 
 
@@ -194,6 +198,11 @@ def clear_pricing_contexts() -> None:
     """Drop every live pricing context (its memos rebuild on demand).
 
     For memory control in long processes, and for benchmarks that want to
-    measure cold-path per-cell pricing without cross-cell sharing.
+    measure cold-path per-cell pricing without cross-cell sharing.  Each
+    context's finalizer is detached too: it holds the context strongly until
+    its graph dies, so leaving it registered would keep every cleared
+    context alive for as long as its graph lives.
     """
+    for context in _CONTEXTS.values():
+        context.finalizer.detach()
     _CONTEXTS.clear()

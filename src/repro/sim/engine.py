@@ -20,16 +20,11 @@ from repro.graph.graph import Graph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.energy import AreaModel, EnergyModel
 from repro.models.zoo import ModelConfig, model_config
-from repro.plan.ir import HIDDEN_DENSITY
 from repro.plan.lowering import lower_model
 from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sim.results import InferenceResult
 
-__all__ = ["GNNIESimulator", "LATER_LAYER_DENSITY"]
-
-#: Backwards-compatible alias: modeled nonzero density of post-ReLU
-#: hidden-layer features (now owned by the plan IR).
-LATER_LAYER_DENSITY = HIDDEN_DENSITY
+__all__ = ["GNNIESimulator"]
 
 
 class GNNIESimulator:

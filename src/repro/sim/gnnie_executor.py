@@ -58,7 +58,7 @@ from repro.plan.ir import (
     WeightingOp,
 )
 from repro.sim.aggregation_sim import aggregation_phase_from_cache, run_cache_simulation
-from repro.sim.batch import GraphPricingContext, adjacency_fingerprint, pricing_context
+from repro.sim.batch import GraphPricingContext, pricing_context
 from repro.sim.results import InferenceResult, LayerResult, PhaseResult
 from repro.sim.weighting_sim import simulate_weighting, weighting_phase_from_schedule
 
@@ -66,11 +66,6 @@ __all__ = ["GNNIEExecutor"]
 
 #: Throughput of the host-side preprocessing (degree binning), ops/cycle.
 _PREPROCESSING_OPS_PER_CYCLE = 8
-
-#: Backwards-compatible alias; the fingerprint moved to ``repro.sim.batch``
-#: so the sweep worker and the pricing context share one implementation.
-_adjacency_fingerprint = adjacency_fingerprint
-
 
 def _weighting_knobs(cfg: AcceleratorConfig) -> tuple:
     """Every configuration field the Weighting phase result depends on.
@@ -142,8 +137,8 @@ class GNNIEExecutor:
         self._cache_results: dict[tuple, CacheSimulationResult] = {}
         #: Priced Aggregation phases keyed by (cache key, width, GAT-ness,
         #: pricing knobs).  Per instance — like the cache-result memo — so a
-        #: batch sharing one executor dedupes identical pricings while the
-        #: scalar fresh-executor-per-cell path keeps its purity guarantee.
+        #: sweep group sharing one executor dedupes identical pricings while
+        #: a fresh executor keeps its purity guarantee.
         self._aggregation_memo: dict[tuple, PhaseResult] = {}
 
     # ------------------------------------------------------------------ #
@@ -207,27 +202,6 @@ class GNNIEExecutor:
                 preprocess_span.set(cycles=preprocessing)
                 self._annotate_spans(result, annotations, root)
         return result
-
-    def execute_batch(
-        self,
-        plan: InferencePlan,
-        graph: Graph,
-        configs: "list[AcceleratorConfig | None] | tuple[AcceleratorConfig | None, ...]",
-    ) -> list[InferenceResult]:
-        """Price one plan under many configurations on one executor.
-
-        The per-(plan, graph) precompute — CSR fingerprints, neighbor
-        sampling, per-block nonzero counts, exact RLC sizes, the undirected
-        edge index — is computed once (shared via the graph's pricing
-        context), the per-iteration cache columns are priced in one
-        vectorized NumPy pass per distinct workload, and the instance memos
-        dedupe cache-policy simulations by (graph, buffer config) and priced
-        phases by the knobs they read, so N configs cost one graph pass plus
-        N cheap pricing passes.  Each returned result is byte-identical to a
-        fresh executor's ``execute`` for the same config (the batch-vs-scalar
-        equivalence test pins this).
-        """
-        return [self.execute(plan, graph, config) for config in configs]
 
     def chip_area_mm2(self, config: AcceleratorConfig | None = None) -> float:
         return self.area_model.chip_area_mm2(config or self.config)

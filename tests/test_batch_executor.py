@@ -1,8 +1,8 @@
 """Batch execution: byte-equivalence, memo sharing, and obs integration.
 
-The vectorized batch layer (``GNNIEExecutor.execute_batch``, the sweep
-runner's per-group dispatch, :mod:`repro.sim.batch`) promises one thing
-above all: *sharing state across a batch never changes a row*.  These tests
+The batch layer (the sweep runner's per-group dispatch through
+``run_batch_timed``, :mod:`repro.sim.batch`) promises one thing above all:
+*sharing state across a group never changes a row*.  These tests
 pin that promise through the result store's canonical serialization, then
 check the two behaviours the sharing exists for — cache-simulation dedupe
 across a dataset group, and truthful per-cell observability.
@@ -10,6 +10,8 @@ across a dataset group, and truthful per-cell observability.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -62,8 +64,8 @@ class TestBatchScalarEquivalence:
         """Satellite: ≥20 mixed configs x all 5 families, batch == scalar.
 
         The batch path shares one executor (and the module-level pricing
-        context) across a family group; the scalar path builds a fresh
-        executor per cell.  Both must serialize to identical bytes through
+        context) across a family group; ``run_cell``, a group of one,
+        builds a fresh executor per cell.  Both must serialize to identical bytes through
         the store's canonical form.
         """
         matrix = ScenarioMatrix.build(
@@ -90,7 +92,9 @@ class TestBatchScalarEquivalence:
             canonical_row(row) for row in scalar_rows
         ]
 
-    def test_executor_batch_matches_scalar_results(self):
+    def test_shared_executor_matches_fresh_executors(self):
+        """One executor looping ``execute`` over configs (its memos shared
+        across them) prices exactly what a fresh executor per config does."""
         from repro.datasets import build_dataset
         from repro.plan.lowering import lower
         from repro.sim import result_to_dict
@@ -99,9 +103,10 @@ class TestBatchScalarEquivalence:
         graph = build_dataset("cora", scale=0.2, seed=5)
         plan = lower("gat", graph)
         configs = _mixed_configs()[:8]
-        batch = GNNIEExecutor().execute_batch(plan, graph, configs)
-        scalar = [GNNIEExecutor().execute(plan, graph, cfg) for cfg in configs]
-        assert [result_to_dict(r) for r in batch] == [result_to_dict(r) for r in scalar]
+        executor = GNNIEExecutor()
+        shared = [executor.execute(plan, graph, cfg) for cfg in configs]
+        fresh = [GNNIEExecutor().execute(plan, graph, cfg) for cfg in configs]
+        assert [result_to_dict(r) for r in shared] == [result_to_dict(r) for r in fresh]
 
 
 class TestCacheSimSharing:
@@ -135,25 +140,6 @@ class TestCacheSimSharing:
         # cache sim per layer/config from the executor memo.
         assert memo_hits > 0
 
-    def test_scalar_escape_hatch_pays_per_cell(self, monkeypatch):
-        """REPRO_NO_BATCH=1 restores fresh-executor-per-cell pricing (the
-        context still dedupes the raw simulations, so ``runs`` stays put but
-        nothing is shared at the executor level)."""
-        matrix = ScenarioMatrix.build(
-            ["cora"], ["gcn"], backends=["gnnie"], scale=0.1, seed=0,
-            configs=[AcceleratorConfig(), replace(AcceleratorConfig(), gamma=2, name="g2")],
-        )
-        clear_pricing_contexts()
-        metrics = MetricsRegistry()
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        batch_metrics = MetricsRegistry()
-        run_sweep(matrix, jobs=1, metrics=batch_metrics)
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        clear_pricing_contexts()
-        summary = run_sweep(matrix, jobs=1, metrics=metrics)
-        assert summary.executed == 2
-        assert metrics.counter("executor.cache_sim.runs").value == 2
-
     def test_pricing_context_is_per_graph_and_collected(self):
         from repro.datasets import build_dataset
 
@@ -162,6 +148,25 @@ class TestCacheSimSharing:
         assert pricing_context(graph) is context
         other = build_dataset("cora", scale=0.1, seed=10)
         assert pricing_context(other) is not context
+
+    def test_clear_pricing_contexts_releases_contexts_of_live_graphs(self):
+        """Clearing must free the contexts even while their graphs live —
+        a graph's finalizer must not keep a cleared context reachable."""
+        from repro.datasets import build_dataset
+        from repro.sim.batch import _CONTEXTS
+
+        graph = build_dataset("cora", scale=0.1, seed=9)
+        context = weakref.ref(pricing_context(graph))
+        clear_pricing_contexts()
+        gc.collect()
+        assert context() is None
+        # The graph gets a fresh context, which its death still evicts.
+        fresh = weakref.ref(pricing_context(graph))
+        key = id(graph)
+        assert _CONTEXTS[key] is fresh()
+        del graph
+        gc.collect()
+        assert fresh() is None and key not in _CONTEXTS
 
     def test_stale_finalizer_cannot_evict_an_id_aliased_live_context(self):
         """A dead graph's finalizer must not drop a live graph's context.

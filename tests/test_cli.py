@@ -47,6 +47,26 @@ class TestParser:
             build_parser().parse_args(["simulate", "--model", "transformer"])
 
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "plan", "compare", "designs", "profile", "cache", "sweep", "tune"]
+    )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--scale", "0"), ("--scale", "1.5"), ("--scale", "nan"), ("--scale", "x"),
+         ("--seed", "-1"), ("--seed", "0.5")],
+    )
+    def test_rejects_bad_scale_and_seed(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro {command}: error: argument {flag}: invalid {flag[2:]} {value!r}: "
+            + ("must be in (0, 1]" if flag == "--scale" else "must be an integer >= 0")
+        ]
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_datasets_command(self, capsys):
         assert main(["datasets"]) == 0

@@ -161,7 +161,8 @@ class TestSupervisedSweep:
 
     def test_poisoned_config_is_isolated_by_degradation(self, tmp_path):
         """One poisoned cell in a batch group fails alone; its group mates
-        land healthy rows through the scalar fallback."""
+        land healthy rows once the exhausted group splits into groups of
+        one."""
         from repro.hw import design_preset
 
         matrix = ScenarioMatrix.build(
@@ -181,6 +182,35 @@ class TestSupervisedSweep:
         healthy = [row for row in summary.rows if row.get("status") != "failed"]
         assert len(healthy) == 2
         assert all(row["metrics"] is not None for row in healthy)
+
+    @pytest.mark.parametrize("group_size", [1, 3])
+    def test_poisoned_cell_degrades_exactly_once(self, tmp_path, group_size):
+        """Every first-dispatch group degrades once — a group of one too —
+        and a degraded cell never degrades again: the poisoned cell is
+        charged ``max_attempts`` as a group member, ``max_attempts`` more
+        alone, and its failed row reports the whole lineage."""
+        from repro.hw import design_preset
+        from repro.obs import MetricsRegistry
+
+        matrix = ScenarioMatrix.build(
+            ["cora"], ["gcn"], backends=["gnnie"],
+            configs=[design_preset(name) for name in "ABC"[:group_size]],
+            scale=0.1, seed=0,
+        )
+        poisoned = matrix.cells()[-1]
+        install_plan(FaultPlan(specs=(FaultSpec(match={"key": poisoned.key()}, times=-1),)))
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.0)
+        metrics = MetricsRegistry()
+        summary = run_sweep(
+            matrix, store=ResultStore(tmp_path / "d.jsonl"), jobs=1,
+            retry=policy, metrics=metrics,
+        )
+        assert summary.total == group_size and summary.failed == 1
+        [failed] = [row for row in summary.rows if row.get("status") == "failed"]
+        assert failed["key"] == poisoned.key()
+        assert failed["attempts"] == 2 * policy.max_attempts
+        assert summary.retries == 2 * (policy.max_attempts - 1)
+        assert metrics.counter("sweep.groups.degraded").value == 1
 
     def test_strict_policy_reports_every_failure(self, tmp_path):
         matrix = ScenarioMatrix.build(
