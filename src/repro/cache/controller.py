@@ -9,7 +9,10 @@ Two simulators are provided:
   evicts up to ``r`` vertices whose α dropped below γ, and fetches the next
   vertices of the stream.  When the stream is exhausted a *Round* ends; a
   new Round re-streams the still-unfinished vertices.  Every DRAM access is
-  sequential.
+  sequential.  Each simulated Round compacts the incidence lists to the
+  edges still unprocessed and reads its stream (the vertices with α > 0)
+  through a forward pointer, so a fetch costs the α of the fetched vertices
+  instead of their degree plus a scan of the rest of the stream.
 * :func:`simulate_vertex_order_baseline` — the ablation baseline ("no
   graph-specific caching: vertices are processed in order of ID").  Vertices
   are walked in id order and each neighbor that is not resident in a
@@ -78,60 +81,12 @@ class UndirectedEdgeIndex:
         order = np.argsort(endpoints, kind="stable")
         self._sorted_edge_ids = edge_ids[order]
         #: Opposite endpoint of each incidence slot, aligned with
-        #: ``_sorted_edge_ids`` — lets :meth:`incident_edges_once` decide
-        #: which endpoint "owns" an edge without a sort-based dedup.
+        #: ``_sorted_edge_ids`` — lets the controller test residency and
+        #: decide which endpoint "owns" an edge without a sort-based dedup.
         self._sorted_other = others[order]
         counts = np.bincount(endpoints, minlength=num_vertices)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.degrees = counts.astype(np.int64)
-        self.num_vertices = int(num_vertices)
-
-    def incident_edges(self, vertices: np.ndarray) -> np.ndarray:
-        """Edge ids incident to any of ``vertices`` (with duplicates removed).
-
-        The per-vertex incidence slices form a ragged gather; instead of
-        materializing one array per vertex and concatenating, the slice
-        offsets are expanded into a single flat index vector (the classic
-        ``repeat``-of-starts plus intra-slice ramp) and applied in one go.
-        """
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        ends = counts.cumsum()
-        flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-        return np.unique(self._sorted_edge_ids[flat])
-
-    def incident_edges_once(
-        self, vertices: np.ndarray, member_mask: np.ndarray
-    ) -> np.ndarray:
-        """Edge ids incident to ``vertices``, each listed exactly once.
-
-        ``vertices`` must be duplicate-free and ``member_mask`` a boolean
-        vertex array that is True exactly on ``vertices``.  An edge joining
-        two member vertices appears in both incidence slices; it is kept only
-        from its lower-numbered endpoint, which removes duplicates with O(n)
-        masking instead of the O(n log n) sort inside ``np.unique`` — the
-        dominant cost of large cache simulations.  Unlike
-        :meth:`incident_edges` the result is *unordered*; callers must be
-        order-independent.
-        """
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        ends = counts.cumsum()
-        flat = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-        others = self._sorted_other[flat]
-        owners = np.repeat(vertices, counts)
-        keep = ~member_mask[others] | (owners < others)
-        return self._sorted_edge_ids[flat[keep]]
 
 
 class DegreeAwareCacheController:
@@ -166,6 +121,17 @@ class DegreeAwareCacheController:
     def run(self, *, collect_trace: bool = False) -> CacheSimulationResult:
         """Run Aggregation caching until every edge has been processed.
 
+        Each Round works on the incidence lists of the edges still
+        unprocessed when it starts: after the first Round the lists are
+        compacted once, from the previous Round's lists.  A vertex is fetched
+        at most once per Round (the stream position only moves forward), so
+        a fetched vertex's compacted list holds exactly its unprocessed edges
+        and a refetch costs its α, not its full degree.  The Round's stream
+        is the degree-ordered vertices with α > 0 at its start, read through
+        a forward pointer: a vertex ahead of the pointer is not resident, so
+        its α cannot change before it is fetched.  None of this changes the
+        modeled policy or its sequential DRAM traffic.
+
         With ``collect_trace`` the eviction sequence is recorded so the
         miss-path hierarchy can evaluate victim-cache occupancy; the policy
         itself produces no input-buffer misses (every fetch is sequential),
@@ -193,6 +159,13 @@ class DegreeAwareCacheController:
         alpha = edge_index.degrees.copy()
         processed = np.zeros(num_edges, dtype=bool)
         resident = np.zeros(num_vertices, dtype=bool)
+        # Reused mask: True on an iteration's fetched vertices only while
+        # their incidence slots are gathered.
+        member = np.zeros(num_vertices, dtype=bool)
+        # Incidence lists (CSR) of the edges unprocessed at the Round's start.
+        indptr = edge_index.indptr
+        slot_edges = edge_index._sorted_edge_ids
+        slot_others = edge_index._sorted_other
         result = CacheSimulationResult()
         # The initial α distribution is the (power-law) degree distribution;
         # recording it first lets the Fig. 10 analysis show the flattening
@@ -204,30 +177,48 @@ class DegreeAwareCacheController:
         while total_processed < num_edges:
             result.num_rounds += 1
             round_index = result.num_rounds
+            if round_index > 1:
+                keep = ~processed[slot_edges]
+                indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+                slot_edges = slot_edges[keep]
+                slot_others = slot_others[keep]
             resident[:] = False
-            stream_position = 0
-            fetched, stream_position = self._fetch(
-                self.stream_order, stream_position, capacity, alpha, resident
-            )
-            result.vertex_fetches += fetched.size
-            result.sequential_fetch_bytes += fetched.size * self.bytes_per_vertex
-            resident[fetched] = True
-            newly = fetched
+            pending = self.stream_order[alpha[self.stream_order] > 0]
+            newly = pending[:capacity]
+            next_pending = newly.size
+            resident[newly] = True
+            resident_count = newly.size
+            result.vertex_fetches += newly.size
+            result.sequential_fetch_bytes += newly.size * self.bytes_per_vertex
             round_progress = False
 
             while iteration < policy.max_iterations:
                 iteration += 1
-                edges_done, max_per_vertex = self._process_new(
-                    newly, resident, processed, alpha, edge_index
-                )
-                total_processed += edges_done
-                if edges_done:
-                    round_progress = True
+                edges_done = max_per_vertex = 0
+                if newly.size:
+                    # Gather the fetched vertices' slots; keep those whose
+                    # other endpoint is resident, taking an edge between two
+                    # fetched vertices once, from its lower-numbered end.
+                    starts = indptr[newly]
+                    counts = indptr[newly + 1] - starts
+                    ends = counts.cumsum()
+                    flat = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+                    owners = np.repeat(newly, counts)
+                    others = slot_others[flat]
+                    member[newly] = True
+                    ready = resident[others] & (~member[others] | (owners < others))
+                    member[newly] = False
+                    edges_done = int(np.count_nonzero(ready))
+                    if edges_done:
+                        round_progress = True
+                        total_processed += edges_done
+                        processed[slot_edges[flat[ready]]] = True
+                        per_vertex = np.bincount(np.concatenate((owners[ready], others[ready])))
+                        alpha[: per_vertex.size] -= per_vertex
+                        max_per_vertex = int(per_vertex.max())
                 evicted = 0
 
-                stream_exhausted = not self._stream_has_more(
-                    self.stream_order, stream_position, alpha
-                )
+                stream_exhausted = next_pending >= pending.size
                 if not stream_exhausted:
                     evict_ids = self._select_evictions(resident, alpha, replacement)
                     if evict_ids.size == 0:
@@ -242,15 +233,14 @@ class DegreeAwareCacheController:
                         recorder.evict_many(evict_ids)
                     unfinished_evicted = evict_ids[alpha[evict_ids] > 0]
                     result.alpha_writeback_bytes += unfinished_evicted.size * self.index_bytes
-                    fetched, stream_position = self._fetch(
-                        self.stream_order, stream_position, evicted, alpha, resident
-                    )
-                    result.vertex_fetches += fetched.size
-                    result.sequential_fetch_bytes += fetched.size * self.bytes_per_vertex
-                    resident[fetched] = True
-                    newly = fetched
+                    newly = pending[next_pending : next_pending + evicted]
+                    next_pending += newly.size
+                    resident[newly] = True
+                    resident_count += newly.size - evicted
+                    result.vertex_fetches += newly.size
+                    result.sequential_fetch_bytes += newly.size * self.bytes_per_vertex
                 else:
-                    newly = np.empty(0, dtype=np.int64)
+                    newly = pending[:0]
 
                 result.iterations.append(
                     IterationRecord(
@@ -259,7 +249,7 @@ class DegreeAwareCacheController:
                         edges_processed=edges_done,
                         max_edges_per_vertex=max_per_vertex,
                         vertices_fetched=int(newly.size),
-                        resident_vertices=int(resident.sum()),
+                        resident_vertices=resident_count,
                         evicted_vertices=evicted,
                     )
                 )
@@ -326,70 +316,6 @@ class DegreeAwareCacheController:
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fetch(
-        order: np.ndarray,
-        position: int,
-        count: int,
-        alpha: np.ndarray,
-        resident: np.ndarray,
-    ) -> tuple[np.ndarray, int]:
-        """Fetch up to ``count`` unfinished, non-resident vertices from the stream."""
-        if count <= 0 or position >= order.size:
-            return np.empty(0, dtype=np.int64), position
-        remaining = order[position:]
-        eligible = np.flatnonzero((alpha[remaining] > 0) & ~resident[remaining])
-        taken = eligible[:count]
-        fetched = remaining[taken].astype(np.int64, copy=False)
-        if taken.size < count:
-            # The stream ran out before filling the request: every position
-            # was consumed, exactly like the scalar scan.
-            return fetched, int(order.size)
-        return fetched, position + int(taken[-1]) + 1
-
-    @staticmethod
-    def _stream_has_more(order: np.ndarray, position: int, alpha: np.ndarray) -> bool:
-        remaining = order[position:]
-        if remaining.size == 0:
-            return False
-        return bool(np.any(alpha[remaining] > 0))
-
-    def _process_new(
-        self,
-        new_vertices: np.ndarray,
-        resident: np.ndarray,
-        processed: np.ndarray,
-        alpha: np.ndarray,
-        edge_index: UndirectedEdgeIndex,
-    ) -> tuple[int, int]:
-        """Process all previously unprocessed edges made resident by ``new_vertices``."""
-        if new_vertices.size == 0:
-            return 0, 0
-        # new_vertices come from _fetch over a stream-order permutation, so
-        # they are duplicate-free as incident_edges_once requires.  Every
-        # consumer below (boolean masks, subtract.at, bincount) is
-        # order-independent, so the unordered candidate list is equivalent
-        # to the sorted one.
-        member_mask = np.zeros(edge_index.num_vertices, dtype=bool)
-        member_mask[new_vertices] = True
-        candidates = edge_index.incident_edges_once(new_vertices, member_mask)
-        if candidates.size == 0:
-            return 0, 0
-        candidates = candidates[~processed[candidates]]
-        if candidates.size == 0:
-            return 0, 0
-        endpoints = edge_index.edges[candidates]
-        both_resident = resident[endpoints[:, 0]] & resident[endpoints[:, 1]]
-        ready = candidates[both_resident]
-        if ready.size == 0:
-            return 0, 0
-        processed[ready] = True
-        ready_endpoints = edge_index.edges[ready]
-        flattened = np.concatenate([ready_endpoints[:, 0], ready_endpoints[:, 1]])
-        np.subtract.at(alpha, flattened, 1)
-        per_vertex = np.bincount(flattened)
-        return int(ready.size), int(per_vertex.max())
-
     def _select_evictions(
         self, resident: np.ndarray, alpha: np.ndarray, count: int
     ) -> np.ndarray:

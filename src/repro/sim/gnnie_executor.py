@@ -522,7 +522,7 @@ class GNNIEExecutor:
         self, adjacency: CSRGraph, cfg: AcceleratorConfig, context: GraphPricingContext
     ) -> tuple:
         # feature_length is intentionally absent: one cache sim per (graph,
-        # buffer config) is shared across layers (see the modeling notes).
+        # buffer config) is shared across layers (README, "Modeling shortcuts").
         # bytes_per_value is present: it sets the per-vertex record size and
         # therefore the buffer's vertex capacity, so quantization variants
         # sharing one executor must not share one simulation.

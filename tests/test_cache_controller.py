@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,45 +178,100 @@ def test_controller_completeness_property(num_vertices, num_edges, capacity, gam
         assert result.alpha_round_snapshots[-1].size == 0 or result.num_rounds >= 1
 
 
-class TestIncidentEdgesVectorization:
-    """Micro-assertion: the flat-gather incident_edges matches the old
-    per-vertex slice implementation on every query shape."""
+def _result_digest(result):
+    """sha256 over every field of a ``CacheSimulationResult``."""
+    digest = hashlib.sha256()
 
-    @staticmethod
-    def _reference_incident_edges(index, vertices):
-        if vertices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        pieces = [
-            index._sorted_edge_ids[index.indptr[v] : index.indptr[v + 1]]
-            for v in vertices
-        ]
-        return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
+    def put(*values):
+        digest.update(repr(values).encode())
 
-    def test_matches_reference_implementation(self, graph):
-        from repro.cache.controller import UndirectedEdgeIndex as _UndirectedEdgeIndex
+    def put_array(array):
+        put(str(array.dtype), array.shape)
+        digest.update(array.tobytes())
 
-        index = _UndirectedEdgeIndex(graph)
-        rng = np.random.default_rng(5)
-        queries = [
-            np.empty(0, dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            np.arange(graph.num_vertices, dtype=np.int64),
-            rng.choice(graph.num_vertices, size=37, replace=False).astype(np.int64),
-            rng.choice(graph.num_vertices, size=200, replace=False).astype(np.int64),
-        ]
-        for vertices in queries:
-            np.testing.assert_array_equal(
-                index.incident_edges(vertices),
-                self._reference_incident_edges(index, vertices),
-            )
-
-    def test_isolated_vertices_yield_no_edges(self):
-        # Vertex 3 has no incident edges at all.
-        adjacency = CSRGraph.from_edge_list(
-            [(0, 1), (1, 2)], num_vertices=4, symmetric=True
+    for record in result.iterations:
+        put(
+            record.iteration,
+            record.round_index,
+            record.edges_processed,
+            record.max_edges_per_vertex,
+            record.vertices_fetched,
+            record.resident_vertices,
+            record.evicted_vertices,
         )
-        from repro.cache.controller import UndirectedEdgeIndex as _UndirectedEdgeIndex
+    for snapshot in result.alpha_round_snapshots:
+        put_array(snapshot)
+    put(
+        result.num_rounds,
+        result.total_edges_processed,
+        result.vertex_fetches,
+        result.sequential_fetch_bytes,
+        result.random_accesses,
+        result.random_access_bytes,
+        result.alpha_writeback_bytes,
+        result.deadlock_events,
+        result.miss_path,
+    )
+    trace = result.trace
+    if trace is None:
+        put(None)
+    else:
+        put(trace.num_vertices, trace.bytes_per_vertex, trace.policy)
+        for array in (trace.kinds, trace.vertices, trace.stream_positions):
+            put_array(array)
+    return digest.hexdigest()
 
-        index = _UndirectedEdgeIndex(adjacency)
-        assert index.incident_edges(np.array([3], dtype=np.int64)).size == 0
-        assert index.incident_edges(np.array([1, 3], dtype=np.int64)).size == 2
+
+# Digests of the controller's full output, pinned so any rewrite of the
+# simulation loop must reproduce it bit for bit.  Cases cover the default
+# policy, the γ = 0 deadlock path, the pairwise fallback (capacity 1 and 2),
+# the max_iterations cut-off, r = 1, id-order streaming and trace collection.
+@pytest.mark.parametrize(
+    "policy_kwargs, collect_trace, expected",
+    [
+        pytest.param(
+            dict(capacity_vertices=60), False,
+            "c9c5eed7c39d8c4179927d0feb4ebd8acb00b9069a08119a473d5b31725bca5a",
+            id="default",
+        ),
+        pytest.param(
+            dict(capacity_vertices=40, gamma=0), False,
+            "81edd64aab8d26462f63af8d190c9c2f20341954d85873c27437bfc8e62658e5",
+            id="gamma0-deadlock",
+        ),
+        pytest.param(
+            dict(capacity_vertices=1), False,
+            "bc1584c62bbc5774da6ff23d32822d582ab721d80a14e673d97285271d8b8d9f",
+            id="capacity1-fallback",
+        ),
+        pytest.param(
+            dict(capacity_vertices=2, gamma=1), False,
+            "9f62e1480684be4c7da16e7d171edbfaa441087cfc6c9ec9bcd04345ed6d2781",
+            id="capacity2-fallback",
+        ),
+        pytest.param(
+            dict(capacity_vertices=40, max_iterations=5), False,
+            "a873874a240eda65fdaefe36f6273a67e13bf9ef9805d3256420384433e90d2d",
+            id="max-iterations-5",
+        ),
+        pytest.param(
+            dict(capacity_vertices=40, replacement_count=1), False,
+            "de25f4553894b4d13601c0abb530f059b948512f03a8972d3fe41512079bd0a6",
+            id="replacement-1",
+        ),
+        pytest.param(
+            dict(capacity_vertices=60, degree_ordered=False), False,
+            "5e15857ee0fd92d413460a5bf712bbd579d1612782d5afef03fb66cf08259c29",
+            id="id-order",
+        ),
+        pytest.param(
+            dict(capacity_vertices=40, gamma=3), True,
+            "541de78aa23a9efd3356ba62fe6a244a9b4b072ad588b6b9ae51221380156369",
+            id="trace",
+        ),
+    ],
+)
+def test_controller_output_digest_is_pinned(graph, policy_kwargs, collect_trace, expected):
+    policy = CachePolicyConfig(**policy_kwargs)
+    controller = DegreeAwareCacheController(graph, policy, bytes_per_vertex=128)
+    assert _result_digest(controller.run(collect_trace=collect_trace)) == expected

@@ -7,13 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
+from repro.obs import MetricsRegistry
+from repro.plan import lower
 from repro.sim import (
     PhaseResult,
     run_cache_simulation,
     simulate_aggregation,
     simulate_weighting,
 )
+from repro.sim.batch import clear_pricing_contexts
+from repro.sim.gnnie_executor import GNNIEExecutor
 from repro.sparse import generate_sparse_features
 
 
@@ -125,3 +130,19 @@ class TestSimulateAggregation:
         phase, _ = simulate_aggregation(graph, AcceleratorConfig(), 128)
         assert phase.dram_output_stream_bytes > 0
         assert phase.dram_input_stream_bytes > 0
+
+
+def test_one_cache_simulation_prices_every_layer():
+    """Modeling shortcut (README, "Modeling shortcuts"): the executor runs
+    one cache simulation per (graph, buffer config), sized at the first
+    aggregation's feature width, and prices every layer with it.  Cora GCN's
+    two layers aggregate at widths 128 and 7 yet report the same DRAM reads.
+    If the simulation is ever keyed by width, this test and the README note
+    change together."""
+    clear_pricing_contexts()
+    graph = build_dataset("cora")
+    metrics = MetricsRegistry()
+    result = GNNIEExecutor(metrics=metrics).execute(lower("gcn", graph), graph)
+    assert metrics.counter("executor.cache_sim.runs").value == 1
+    assert [layer.out_features for layer in result.layers] == [128, 7]
+    assert [layer.aggregation.dram_read_bytes for layer in result.layers] == [454_944] * 2
