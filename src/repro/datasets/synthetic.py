@@ -95,14 +95,19 @@ def _build_labels(
     labels = rng.integers(spec.num_labels, size=num_vertices)
     # One smoothing round: each vertex adopts the majority label of its
     # neighborhood with probability 0.6, giving label assortativity similar
-    # to citation networks.
+    # to citation networks.  One bincount counts every adopter's neighbor
+    # labels; argmax takes the first maximum, so ties go to the smallest
+    # label.
     smoothed = labels.copy()
     adopt = rng.random(num_vertices) < 0.6
-    for vertex in np.flatnonzero(adopt):
-        neighbors = adjacency.neighbors(vertex)
-        if neighbors.size:
-            values, counts = np.unique(labels[neighbors], return_counts=True)
-            smoothed[vertex] = values[np.argmax(counts)]
+    degrees = adjacency.degrees()
+    adopters = np.flatnonzero(adopt & (degrees > 0))
+    neighbor_labels = labels[adjacency.indices[np.repeat(adopt, degrees)]]
+    owner = np.repeat(np.arange(adopters.size), degrees[adopters])
+    counts = np.bincount(
+        owner * spec.num_labels + neighbor_labels, minlength=adopters.size * spec.num_labels
+    )
+    smoothed[adopters] = counts.reshape(adopters.size, spec.num_labels).argmax(axis=1)
     return smoothed
 
 

@@ -18,7 +18,23 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "sorted_unique"]
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as ``np.unique(keys)``.
+
+    Sorts, then keeps the first element of every run of equal values.  On
+    integer keys NumPy 2.4 ``np.unique`` takes a hash-table path that is
+    ~50x slower than this sort on 1.6M int64 keys.
+    """
+    ranked = np.sort(keys)
+    if ranked.size < 2:
+        return ranked
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return ranked[first]
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,11 @@ class CSRGraph:
             # an order of magnitude slower than a scalar sort.  Encoding
             # each pair as src * V + dst (dst < V, so the key fits int64 for
             # V < sqrt(2^63)) makes unique-and-sort a scalar operation with
-            # the exact same lexicographic (src, dst) result.
-            keys = np.unique(edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1])
+            # the exact same lexicographic (src, dst) result.  The scalar
+            # dedup is a sort plus keep-first-of-run (``sorted_unique``), not
+            # np.unique, whose hash path on NumPy 2.4 is ~50x slower on the
+            # ~1.6M keys of Reddit@0.02.
+            keys = sorted_unique(edge_array[:, 0] * np.int64(num_vertices) + edge_array[:, 1])
             src = keys // num_vertices
             dst = keys % num_vertices
         else:

@@ -44,6 +44,19 @@ def generate_sparse_features(
       indices are drawn from a Zipf-like distribution with exponent
       ``column_skew``.
 
+    Random draws, in order, all from one ``np.random.default_rng(seed)``:
+    ``lognormal`` for the row counts, ``permutation`` for the column
+    popularity, then per row ``random(count)`` uniforms mapped through the
+    popularity CDF (``searchsorted(side="right")``), keeping each column's
+    first draw.  While columns are missing, the row zeroes the popularity of
+    the columns it has, renormalises the CDF and draws ``random(missing)``
+    again.  Last come the row's ``uniform(0.1, value_scale, count)`` values,
+    in column-draw order.  This is the stream ``Generator.choice(...,
+    replace=False, p=popularity)`` consumes, replayed without its per-call
+    validation and ``np.unique``; the matrix therefore depends only on
+    ``Generator.random``/``uniform`` and is the same as the one per-row
+    ``choice`` calls gave.
+
     Args:
         num_vertices: Number of rows.
         feature_length: Number of columns.
@@ -57,6 +70,8 @@ def generate_sparse_features(
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
+    if feature_length < 1:
+        raise ValueError("feature_length must be at least 1")
     rng = np.random.default_rng(seed)
     mean_nonzeros = max(1.0, (1.0 - sparsity) * feature_length)
     row_nonzeros = rng.lognormal(
@@ -79,12 +94,55 @@ def generate_sparse_features(
     popularity = ranks ** (-column_skew) if column_skew > 0 else np.ones(feature_length)
     popularity = rng.permutation(popularity)
     popularity /= popularity.sum()
+    cdf = np.cumsum(popularity)
+    cdf /= cdf[-1]
     matrix = np.zeros((num_vertices, feature_length), dtype=np.float64)
-    for row, count in enumerate(row_nonzeros):
-        count = int(min(count, feature_length))
-        columns = rng.choice(feature_length, size=count, replace=False, p=popularity)
+    for row, count in enumerate(row_nonzeros.tolist()):
+        columns = _first_occurrences(cdf.searchsorted(rng.random(count), side="right"))
+        if columns.size < count:
+            columns = _draw_remaining(rng, popularity, columns, count)
         matrix[row, columns] = rng.uniform(0.1, value_scale, size=count)
     return matrix
+
+
+def _first_occurrences(draws: np.ndarray) -> np.ndarray:
+    """The first occurrence of every value in ``draws``, in draw order.
+
+    A stable sort puts each value's earliest draw first in its run of
+    equals, so every later element of a run is a repeat to drop.
+    """
+    order = draws.argsort(kind="stable")
+    ranked = draws[order]
+    repeats = ranked[1:] == ranked[:-1]
+    if not repeats.any():
+        return draws
+    keep = np.ones(draws.size, dtype=bool)
+    keep[order[1:][repeats]] = False
+    return draws[keep]
+
+
+def _draw_remaining(
+    rng: np.random.Generator, popularity: np.ndarray, found: np.ndarray, count: int
+) -> np.ndarray:
+    """Draw columns until ``count`` distinct ones are found.
+
+    Each attempt zeroes the popularity of the columns found so far,
+    renormalises the CDF and draws one uniform per column still missing, so
+    a found column is never drawn again.
+    """
+    weights = popularity.copy()
+    columns = np.empty(count, dtype=np.int64)
+    columns[: found.size] = found
+    total = found.size
+    while total < count:
+        draws = rng.random(count - total)
+        weights[columns[:total]] = 0.0
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        new = _first_occurrences(cdf.searchsorted(draws, side="right"))
+        columns[total : total + new.size] = new
+        total += new.size
+    return columns
 
 
 def block_nonzero_counts(matrix: np.ndarray, block_size: int) -> np.ndarray:

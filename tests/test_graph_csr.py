@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph
+from repro.graph.csr import sorted_unique
 
 
 # --------------------------------------------------------------------------- #
@@ -67,6 +68,30 @@ class TestConstruction:
         again = CSRGraph.from_scipy(graph.to_scipy())
         np.testing.assert_array_equal(graph.indptr, again.indptr)
         np.testing.assert_array_equal(graph.indices, again.indices)
+
+
+class TestSortedUnique:
+    def _check(self, keys):
+        result = sorted_unique(keys)
+        expected = np.unique(keys)
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_np_unique_on_random_int64(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 5000))
+        self._check(rng.integers(-(2**62), 2**62, size=size, dtype=np.int64))
+        self._check(rng.integers(0, max(2, size // 4), size=size, dtype=np.int64))
+
+    def test_empty(self):
+        self._check(np.empty(0, dtype=np.int64))
+
+    def test_all_duplicates(self):
+        self._check(np.full(1000, 7, dtype=np.int64))
+
+    def test_single_element(self):
+        self._check(np.array([3], dtype=np.int64))
 
 
 # --------------------------------------------------------------------------- #

@@ -43,6 +43,10 @@ class TestGenerateSparseFeatures:
         with pytest.raises(ValueError):
             generate_sparse_features(10, 10, -0.1)
 
+    def test_invalid_feature_length(self):
+        with pytest.raises(ValueError, match="feature_length"):
+            generate_sparse_features(10, 0, 0.5)
+
 
 class TestBlockNonzeroCounts:
     def test_manual_example(self):
