@@ -16,8 +16,7 @@ but, before this package, never checked:
   verifiers: a rule registry validating op ordering, dataflow widths,
   finiteness and per-family structure *before* execution.  Wired into
   every executor (``GNNIEExecutor.execute``, ``PlatformModel.execute``,
-  ``execute_scaleout``), memoized per plan content, disabled with
-  ``REPRO_NO_VERIFY=1``.
+  ``execute_scaleout``), memoized per plan content.
 * :mod:`repro.check.lint` — an AST linter over the source tree whose rules
   encode this repo's fleet-safety contracts (no unseeded RNG, no wall
   clock feeding row content, no ``id()``-keyed memos outside the

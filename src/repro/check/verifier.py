@@ -23,15 +23,12 @@ Rules split into two tiers:
 :func:`verify_plan` memoizes by plan content (plans are frozen, hence
 hashable), so the sweep fleet's batch path verifies each distinct plan
 once no matter how many configs it prices — :func:`verify_counters`
-exposes ``runs``/``hits`` so tests can pin that.  ``REPRO_NO_VERIFY=1``
-disables verification entirely (escape hatch; rows are byte-identical
-either way, which the overhead tests also pin).
+exposes ``runs``/``hits`` so tests can pin that.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator
 
@@ -60,9 +57,6 @@ __all__ = [
     "verify_plan",
     "verify_registered_plans",
 ]
-
-#: Environment variable disabling verification (the escape hatch).
-NO_VERIFY_ENV = "REPRO_NO_VERIFY"
 
 #: Op types every executor-facing plan may contain.
 _KNOWN_OPS = (
@@ -727,11 +721,6 @@ def verify_counters() -> dict[str, int]:
     return dict(_COUNTERS)
 
 
-def verification_disabled() -> bool:
-    """Whether the ``REPRO_NO_VERIFY=1`` escape hatch is armed."""
-    return os.environ.get(NO_VERIFY_ENV, "") == "1"
-
-
 def plan_violations(plan: InferencePlan) -> tuple[Violation, ...]:
     """Run every registered rule over ``plan`` and return all violations."""
     violations: list[Violation] = []
@@ -740,18 +729,14 @@ def plan_violations(plan: InferencePlan) -> tuple[Violation, ...]:
     return tuple(violations)
 
 
-def verify_plan(plan: InferencePlan, *, force: bool = False) -> InferencePlan:
+def verify_plan(plan: InferencePlan) -> InferencePlan:
     """Verify a plan, raising :class:`PlanVerificationError` on violations.
 
     Memoized by plan content: re-verifying an already-seen plan (the batch
     path pricing thousands of configs against one plan, or a sweep
     re-lowering an identical plan per cell) costs one dict lookup.
-    Returns the plan so call sites can verify inline.  ``force`` bypasses
-    the ``REPRO_NO_VERIFY`` escape hatch (used by ``repro check``, which
-    must verify even in an environment that disabled the executor gate).
+    Returns the plan so call sites can verify inline.
     """
-    if not force and verification_disabled():
-        return plan
     cached = _MEMO.get(plan)
     if cached is None:
         _COUNTERS["runs"] += 1

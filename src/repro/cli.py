@@ -82,10 +82,12 @@ resumable through the same store machinery::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import repro
 from repro.analysis import (
@@ -99,7 +101,7 @@ from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.baselines.engn import EnGNModel
 from repro.cache import MissPathConfig, mechanism_names
 from repro.datasets import build_dataset, dataset_names, dataset_spec
-from repro.hw import AcceleratorConfig, design_preset
+from repro.hw import DESIGN_PRESETS, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
 from repro.plan import executor_names, lower
 from repro.sim import GNNIESimulator, input_buffer_capacity
@@ -143,6 +145,113 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for a count (chips, jobs, generations, sizes): an integer >= 1."""
+    try:
+        value = int(text)
+        valid = value >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}: must be an integer >= 1")
+    return value
+
+
+def _counts(text: str) -> list[int]:
+    """argparse type for a comma-separated list of counts (``sweep --chips``)."""
+    try:
+        counts = [_count(part) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
+        counts = []
+    if not counts:
+        raise argparse.ArgumentTypeError(
+            f"invalid counts {text!r}: must be a comma-separated list of integers >= 1"
+        )
+    return counts
+
+
+def _seconds(text: str) -> float:
+    """argparse type for ``--timeout``: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+        valid = 0 < value < math.inf
+    except ValueError:
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(f"invalid seconds {text!r}: must be a number > 0")
+    return value
+
+
+def _names(
+    noun: str,
+    known: Sequence[str],
+    *,
+    fold: Callable[[str], str] = str.lower,
+    every: bool = False,
+) -> Callable[[str], list[str]]:
+    """argparse type for a comma-separated list of ``known`` names.
+
+    Names are stripped and case-folded with ``fold``; with ``every``, the
+    word ``all`` stands for every known name.
+    """
+
+    def convert(text: str) -> list[str]:
+        if every and text.strip().lower() == "all":
+            return list(known)
+        names = [fold(name.strip()) for name in text.split(",") if name.strip()]
+        unknown = sorted(set(names) - set(known))
+        if unknown or not names:
+            problem = f"unknown {noun} {unknown}" if unknown else f"no {noun} in {text!r}"
+            raise argparse.ArgumentTypeError(f"{problem}; known: {', '.join(known)}")
+        return names
+
+    return convert
+
+
+def _group(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An option group that subcommands attach with ``parents=``."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _fleet_group(store: str) -> argparse.ArgumentParser:
+    """The options of a command that runs a worker fleet into a result store."""
+    fleet = _group()
+    fleet.add_argument(
+        "--jobs", type=_count, default=1, help="worker processes (1 = run in-process)"
+    )
+    fleet.add_argument(
+        "--store",
+        default=store,
+        help=f"resumable result store path (JSONL, one row per cell; default: {store})",
+    )
+    fleet.add_argument(
+        "--no-resume",
+        action="store_true",
+        help="truncate an existing store instead of skipping its completed cells",
+    )
+    fleet.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="trace the fleet and write a merged Chrome trace-event JSON "
+        "(one track per worker process); rows are unchanged",
+    )
+    return fleet
+
+
+def _command(
+    subparsers, name: str, handler: Callable, help: str, *groups: argparse.ArgumentParser
+) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with the option ``groups`` it reads.
+
+    The subcommand's ``prog`` (e.g. ``repro store verify``) is kept in the
+    namespace so :func:`main` can prefix its one error line with it.
+    """
+    sub = subparsers.add_parser(name, help=help, parents=list(groups))
+    sub.set_defaults(handler=handler, prog=sub.prog)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -153,148 +262,161 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    datasets_parser = subparsers.add_parser("datasets", help="list registered datasets")
-    datasets_parser.set_defaults(handler=_cmd_datasets)
+    command = functools.partial(_command, subparsers)
 
-    simulate_parser = subparsers.add_parser("simulate", help="simulate one inference")
-    _add_workload_arguments(simulate_parser)
-    simulate_parser.add_argument("--json", action="store_true", help="emit the full JSON report")
-    simulate_parser.add_argument(
-        "--roofline", action="store_true", help="append a per-phase bottleneck analysis"
-    )
-    simulate_parser.set_defaults(handler=_cmd_simulate)
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="profile one inference: per-span attribution + Chrome-trace export",
-    )
-    profile_parser.add_argument(
+    # Option groups: each option is declared once here, and a subcommand
+    # attaches only the groups it reads.
+    dataset = _group()
+    dataset.add_argument(
         "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
     )
-    profile_parser.add_argument(
-        "--family",
+    sample = _group()
+    sample.add_argument(
+        "--scale",
+        type=_scale,
+        default=None,
+        help="dataset scale factor in (0, 1] (default: the registry scale)",
+    )
+    sample.add_argument(
+        "--seed",
+        type=_seed,
+        default=0,
+        help="dataset generation seed (sweep and tune derive their "
+        "per-dataset and proposer seeds from it)",
+    )
+    workload = _group(dataset, sample)
+    family = _group()
+    family.add_argument(
         "--model",
-        dest="family",
+        "--family",
+        dest="model",
         default="gcn",
         choices=list(MODEL_FAMILIES),
-        help="GNN family (Table III); --model is accepted as an alias",
+        help="GNN family (Table III); --family is a second spelling",
     )
-    profile_parser.add_argument(
-        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
-    )
-    profile_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
-    profile_parser.add_argument(
+    design = _group()
+    design.add_argument(
         "--design",
         default=None,
-        choices=["A", "B", "C", "D", "E"],
+        choices=sorted(DESIGN_PRESETS),
         help="use a named design point instead of the default GNNIE configuration",
     )
-    profile_parser.add_argument(
+    chips = _group()
+    chips.add_argument(
+        "--chips",
+        type=_count,
+        default=1,
+        help="scale GNNIE out across N simulated chips (default: 1); plan shows "
+        "each chip's plan with its spliced halo-exchange ops, compare runs "
+        "the baselines single-chip",
+    )
+    report = _group()
+    report.add_argument("--json", action="store_true", help="emit the report as JSON")
+
+    command("datasets", _cmd_datasets, "list registered datasets")
+
+    simulate = command(
+        "simulate", _cmd_simulate, "simulate one inference", workload, family, design, report
+    )
+    simulate.add_argument(
+        "--roofline", action="store_true", help="append a per-phase bottleneck analysis"
+    )
+
+    profile = command(
+        "profile",
+        _cmd_profile,
+        "profile one inference: per-span attribution + Chrome-trace export",
+        workload,
+        family,
+        design,
+        report,
+    )
+    profile.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
         help="write a Chrome trace-event JSON (chrome://tracing / Perfetto), "
         "one track per GNN layer",
     )
-    profile_parser.add_argument(
+    profile.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
         help="write the metrics registry (.csv -> CSV, anything else -> JSON)",
     )
-    profile_parser.add_argument(
-        "--json", action="store_true", help="emit the profile report as JSON"
-    )
-    profile_parser.set_defaults(handler=_cmd_profile)
 
-    plan_parser = subparsers.add_parser(
-        "plan", help="show the lowered phase-op program for a (dataset, model) pair"
+    plan = command(
+        "plan",
+        _cmd_plan,
+        "show the lowered phase-op program for a (dataset, model) pair",
+        workload,
+        family,
+        chips,
+        report,
     )
-    _add_workload_arguments(plan_parser)
-    plan_parser.add_argument(
-        "--chips",
-        type=int,
-        default=1,
-        help="partition across N simulated chips and show each chip's plan "
-        "with its spliced halo-exchange ops (default: 1, the plain plan)",
-    )
-    plan_parser.add_argument(
+    plan.add_argument(
         "--check",
         action="store_true",
         help="verify the plan (and every chip plan with --chips > 1) against "
         "the repro.check verifier rules before printing",
     )
-    plan_parser.add_argument("--json", action="store_true", help="emit the plan as JSON")
-    plan_parser.set_defaults(handler=_cmd_plan)
 
-    check_parser = subparsers.add_parser(
+    check = command(
         "check",
-        help="static analysis: determinism linter over src/repro plus plan "
+        _cmd_check,
+        "static analysis: determinism linter over src/repro plus plan "
         "verification across every registered family x dataset",
+        report,
     )
-    check_parser.add_argument(
+    check.add_argument(
         "--lint",
         action="store_true",
         help="run only the determinism linter (default: linter + plans)",
     )
-    check_parser.add_argument(
+    check.add_argument(
         "--plans",
         action="store_true",
         help="run only plan verification (default: linter + plans)",
     )
-    check_parser.add_argument(
+    check.add_argument(
         "--paths",
         nargs="+",
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
-    check_parser.add_argument(
+    check.add_argument(
         "--baseline",
         default="repro-check-baseline.json",
         help="committed findings baseline; only findings not in it fail "
         "(default: repro-check-baseline.json)",
     )
-    check_parser.add_argument(
+    check.add_argument(
         "--update-baseline",
         action="store_true",
         help="rewrite the baseline file to contain exactly the current findings",
     )
-    check_parser.add_argument(
-        "--json", action="store_true", help="emit the full report as JSON"
-    )
-    check_parser.set_defaults(handler=_cmd_check)
 
-    compare_parser = subparsers.add_parser("compare", help="compare against baseline platforms")
-    _add_workload_arguments(compare_parser)
-    compare_parser.add_argument(
-        "--chips",
-        type=int,
-        default=1,
-        help="run GNNIE scaled out across N simulated chips (baselines model "
-        "fixed silicon and always run single-chip; default: 1)",
+    command(
+        "compare",
+        _cmd_compare,
+        "compare against baseline platforms",
+        workload,
+        family,
+        design,
+        chips,
+        report,
     )
-    compare_parser.add_argument(
-        "--json", action="store_true", help="emit the comparison rows as JSON"
-    )
-    compare_parser.set_defaults(handler=_cmd_compare)
+    command("designs", _cmd_designs, "evaluate design points A-E", workload, family)
 
-    designs_parser = subparsers.add_parser("designs", help="evaluate design points A-E")
-    _add_workload_arguments(designs_parser)
-    designs_parser.set_defaults(handler=_cmd_designs)
-
-    cache_parser = subparsers.add_parser(
+    cache = command(
         "cache",
-        help="evaluate miss-path mechanisms (victim/miss/stream) behind the input buffer",
+        _cmd_cache,
+        "evaluate miss-path mechanisms (victim/miss/stream) behind the input buffer",
+        workload,
     )
-    cache_parser.add_argument(
-        "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
-    )
-    cache_parser.add_argument(
-        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
-    )
-    cache_parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
-    cache_parser.add_argument(
+    cache.add_argument(
         "--mechanism",
+        type=_names("mechanisms", mechanism_names()),
         default="victim,miss,stream",
         help=(
             "comma-separated miss-path mechanisms to evaluate "
@@ -302,130 +424,101 @@ def build_parser() -> argparse.ArgumentParser:
             "plus one combined hierarchy row when several are given"
         ),
     )
-    cache_parser.add_argument(
+    cache.add_argument(
         "--policy",
         default="vertex_order",
         choices=sorted(TRACE_POLICIES) + ["all"],
         help="hit-path policy whose miss trace is filtered (default: the "
         "vertex-order baseline, the policy with the random-traffic problem)",
     )
-    cache_parser.add_argument(
+    cache.add_argument(
         "--feature-length",
-        type=int,
+        type=_count,
         default=128,
         help="aggregated feature length used to size one vertex record",
     )
-    cache_parser.add_argument(
-        "--victim-entries", type=int, default=None, help="victim cache entries"
+    cache.add_argument("--victim-entries", type=_count, help="victim cache entries")
+    cache.add_argument("--miss-entries", type=_count, help="miss cache tag entries")
+    cache.add_argument("--stream-buffers", type=_count, help="number of stream buffers")
+    cache.add_argument(
+        "--stream-depth", type=_count, help="prefetch depth per stream buffer"
     )
-    cache_parser.add_argument(
-        "--miss-entries", type=int, default=None, help="miss cache tag entries"
-    )
-    cache_parser.add_argument(
-        "--stream-buffers", type=int, default=None, help="number of stream buffers"
-    )
-    cache_parser.add_argument(
-        "--stream-depth", type=int, default=None, help="prefetch depth per stream buffer"
-    )
-    cache_parser.set_defaults(handler=_cmd_cache)
 
-    sweep_parser = subparsers.add_parser(
+    sweep = command(
         "sweep",
-        help="run a (dataset × model × backend) scenario matrix into a resumable store",
+        _cmd_sweep,
+        "run a (dataset × model × backend) scenario matrix into a resumable store",
+        sample,
+        _fleet_group("sweep.jsonl"),
+        report,
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--datasets",
+        type=_names("datasets", dataset_names(), every=True),
         default="all",
         help="comma-separated dataset names, or 'all' (default: all five)",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--models",
+        type=_names("models", list(MODEL_FAMILIES), every=True),
         default="all",
         help="comma-separated GNN families, or 'all' (default: all five)",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--backends",
+        type=_names("backends", executor_names(), every=True),
         default="all",
         help=(
             "comma-separated executor backends, or 'all' "
             f"(default: {', '.join(executor_names())})"
         ),
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--designs",
+        type=_names("designs", sorted(DESIGN_PRESETS), fold=str.upper),
         default=None,
         help="comma-separated design points A-E to sweep as configurations "
         "(default: the GNNIE configuration); baseline platforms model fixed "
         "silicon and are swept once regardless",
     )
-    sweep_parser.add_argument(
-        "--scale", type=_scale, default=None,
-        help="dataset scale override in (0, 1] applied to every dataset "
-        "(default: each dataset's registry scale)",
-    )
-    sweep_parser.add_argument(
-        "--seed", type=_seed, default=0,
-        help="base seed; per-dataset seeds are derived deterministically from it",
-    )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--chips",
+        type=_counts,
         default="1",
         help="comma-separated chip counts to sweep as a scale-out axis "
         "(e.g. '1,4,16'); counts above 1 apply only to backends that "
         "support scale-out (default: 1)",
     )
-    sweep_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = run in-process)"
-    )
-    sweep_parser.add_argument(
-        "--store", default="sweep.jsonl", help="result store path (JSONL, one row per cell)"
-    )
-    sweep_parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="truncate an existing store instead of skipping its completed cells",
-    )
-    sweep_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="trace the fleet and write a merged Chrome trace-event JSON "
-        "(one track per worker process); rows are unchanged",
-    )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--max-attempts",
-        type=int,
-        default=None,
+        type=_count,
+        default=2,
         metavar="N",
         help="executions a failing group is charged before it degrades / "
         "fails permanently (default: 2)",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per dispatched group under --jobs > 1; an "
         "expired group's worker is terminated and the group charged one "
         "attempt (default: no timeout)",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--strict",
         action="store_true",
         help="raise one SweepError aggregating every permanent failure "
         "instead of landing explicit failed rows",
     )
-    sweep_parser.add_argument(
+    sweep.add_argument(
         "--faults",
         default=None,
         metavar="PLAN",
         help="arm a deterministic fault-injection plan: a JSON file path or "
         "inline JSON (chaos testing; see repro.faults)",
     )
-    sweep_parser.add_argument(
-        "--json", action="store_true", help="emit the summary and all rows as JSON"
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
 
     store_parser = subparsers.add_parser(
         "store",
@@ -437,91 +530,61 @@ def build_parser() -> argparse.ArgumentParser:
         ("repair", "excise corrupt lines into a .quarantine sidecar, drop a partial tail"),
         ("compact", "rewrite one canonical checksummed line per key (last write wins)"),
     ):
-        action_parser = store_subparsers.add_parser(action, help=description)
-        action_parser.add_argument(
+        _command(store_subparsers, action, _cmd_store, description, report).add_argument(
             "--store", required=True, help="result store path (JSONL)"
         )
-        action_parser.add_argument(
-            "--json", action="store_true", help="emit the report as JSON"
-        )
-        action_parser.set_defaults(handler=_cmd_store, store_command=action)
 
-    tune_parser = subparsers.add_parser(
+    tune = command(
         "tune",
-        help="closed-loop autotuner: sweep -> aggregate -> propose over generations",
+        _cmd_tune,
+        "closed-loop autotuner: sweep -> aggregate -> propose over generations",
+        workload,
+        family,
+        _fleet_group("tune.jsonl"),
+        report,
     )
-    tune_parser.add_argument(
-        "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
+    tune.add_argument(
+        "--generations", type=_count, default=4, help="generations of the closed loop"
     )
-    tune_parser.add_argument(
-        "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
+    tune.add_argument(
+        "--population", type=_count, default=6, help="candidate configurations per generation"
     )
-    tune_parser.add_argument(
-        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
-    )
-    tune_parser.add_argument(
-        "--seed", type=_seed, default=0,
-        help="base seed for the dataset and the per-generation proposer RNG",
-    )
-    tune_parser.add_argument(
-        "--generations", type=int, default=4, help="generations of the closed loop"
-    )
-    tune_parser.add_argument(
-        "--population", type=int, default=6, help="candidate configurations per generation"
-    )
-    tune_parser.add_argument(
-        "--mac-budget", type=int, default=1280,
+    tune.add_argument(
+        "--mac-budget",
+        type=_count,
+        default=1280,
         help="total-MAC admissibility budget for proposed allocations",
     )
-    tune_parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes per generation sweep"
-    )
-    tune_parser.add_argument(
-        "--store", default="tune.jsonl", help="resumable result store path (JSONL)"
-    )
-    tune_parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="truncate an existing store instead of serving its completed cells",
-    )
-    tune_parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="trace the tuning fleet (one generation span per sweep) and "
-        "write a merged Chrome trace-event JSON",
-    )
-    tune_parser.add_argument(
-        "--json", action="store_true", help="emit the full tuning report as JSON"
-    )
-    tune_parser.set_defaults(handler=_cmd_tune)
 
     return parser
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", default="cora", choices=dataset_names(), help="benchmark dataset"
-    )
-    parser.add_argument(
-        "--model", default="gcn", choices=list(MODEL_FAMILIES), help="GNN family (Table III)"
-    )
-    parser.add_argument(
-        "--scale", type=_scale, default=None, help="dataset scale factor in (0, 1]"
-    )
-    parser.add_argument("--seed", type=_seed, default=0, help="dataset generation seed")
-    parser.add_argument(
-        "--design",
-        default=None,
-        choices=["A", "B", "C", "D", "E"],
-        help="use a named design point instead of the default GNNIE configuration",
-    )
+def _graph(args: argparse.Namespace):
+    return build_dataset(args.dataset, scale=args.scale, seed=args.seed)
 
 
-def _load(args: argparse.Namespace):
-    graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    config = design_preset(args.design) if args.design else AcceleratorConfig()
-    return graph, config
+def _config(args: argparse.Namespace) -> AcceleratorConfig:
+    return design_preset(args.design) if args.design else AcceleratorConfig()
+
+
+def _run_fleet(args: argparse.Namespace, label: str, metadata: dict, run: Callable):
+    """Return ``run(tracer, metrics)``, traced when ``--trace`` names a file.
+
+    Under ``--trace`` the fleet's spans and metrics are merged into one
+    Chrome trace (one track per worker process) labelled with ``metadata``.
+    """
+    if not args.trace:
+        return run(None, None)
+    from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+
+    tracer = Tracer()
+    metrics = MetricsRegistry()
+    result = run(tracer, metrics)
+    write_chrome_trace(
+        args.trace, tracer.records, track="pid", metrics=metrics, metadata=metadata
+    )
+    print(f"{label} trace written to {args.trace}", file=sys.stderr)
+    return result
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -545,7 +608,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    graph, config = _load(args)
+    graph, config = _graph(args), _config(args)
     result = GNNIESimulator(config).run(graph, args.model)
     if args.json:
         print(result_to_json(result))
@@ -581,14 +644,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    graph, config = _load(args)
+    graph, config = _graph(args), _config(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    result = GNNIESimulator(config, tracer=tracer, metrics=metrics).run(graph, args.family)
+    result = GNNIESimulator(config, tracer=tracer, metrics=metrics).run(graph, args.model)
 
     metadata = {
         "dataset": graph.name,
-        "family": args.family,
+        "family": args.model,
         "config": config.name,
         "total_cycles": result.total_cycles,
         "latency_seconds": result.latency_seconds,
@@ -627,7 +690,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 0
     print(
         format_table(
-            [result.summary()], title=f"GNNIE {args.family.upper()} on {graph.name}"
+            [result.summary()], title=f"GNNIE {args.model.upper()} on {graph.name}"
         )
     )
     print()
@@ -666,10 +729,7 @@ def _check_plans(plans: "list[tuple[str, object]]") -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    if args.chips < 1:
-        print("--chips must be >= 1", file=sys.stderr)
-        return 2
-    graph, _ = _load(args)
+    graph = _graph(args)
     plan = lower(args.model, graph)
     if args.check and args.chips == 1:
         if _check_plans([(f"{args.model}/{graph.name}", plan)]):
@@ -816,10 +876,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.chips < 1:
-        print("--chips must be >= 1", file=sys.stderr)
-        return 2
-    graph, config = _load(args)
+    graph, config = _graph(args), _config(args)
     if args.chips == 1:
         result = GNNIESimulator(config).run(graph, args.model)
         gnnie_label = "GNNIE"
@@ -882,7 +939,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_designs(args: argparse.Namespace) -> int:
-    graph, _ = _load(args)
+    graph = _graph(args)
     rows = []
     for name in ("A", "B", "C", "D", "E"):
         config = design_preset(name)
@@ -901,48 +958,25 @@ def _cmd_designs(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    graph = build_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    graph = _graph(args)
     config = AcceleratorConfig().resolve_input_buffer(graph.name)
-    try:
-        capacity, record_bytes = input_buffer_capacity(
-            graph.adjacency, config, args.feature_length
-        )
-    except ValueError as error:
-        print(f"invalid --feature-length: {error}", file=sys.stderr)
-        return 2
-    mechanisms = tuple(
-        dict.fromkeys(name.strip() for name in args.mechanism.split(",") if name.strip())
-    )
-    if not mechanisms:
-        print("no mechanisms given (use e.g. --mechanism victim,stream)", file=sys.stderr)
-        return 2
-    unknown = set(mechanisms) - set(mechanism_names())
-    if unknown:
-        print(
-            f"unknown mechanisms {sorted(unknown)}; known: {', '.join(mechanism_names())}",
-            file=sys.stderr,
-        )
-        return 2
+    capacity, record_bytes = input_buffer_capacity(graph.adjacency, config, args.feature_length)
     overrides = {
         "victim_entries": args.victim_entries,
         "miss_entries": args.miss_entries,
         "stream_buffers": args.stream_buffers,
         "stream_depth": args.stream_depth,
     }
-    try:
-        sizing = MissPathConfig(
-            **{key: value for key, value in overrides.items() if value is not None}
-        )
-    except ValueError as error:
-        print(f"invalid miss-path sizing: {error}", file=sys.stderr)
-        return 2
+    sizing = MissPathConfig(
+        **{key: value for key, value in overrides.items() if value is not None}
+    )
     policies = sorted(TRACE_POLICIES) if args.policy == "all" else [args.policy]
     rows = miss_path_ablation_rows(
         graph.adjacency,
         capacity=capacity,
         bytes_per_vertex=record_bytes,
         policies=policies,
-        mechanisms=mechanisms,
+        mechanisms=tuple(dict.fromkeys(args.mechanism)),
         miss_config=sizing,
         dataset=graph.name,
     )
@@ -954,74 +988,34 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_axis(value: str, *, all_values: Sequence[str], axis: str) -> list[str]:
-    """Parse a comma-separated axis argument, expanding the 'all' shorthand."""
-    if value.strip().lower() == "all":
-        return list(all_values)
-    names = [name.strip().lower() for name in value.split(",") if name.strip()]
-    unknown = set(names) - set(all_values)
-    if not names or unknown:
-        raise ValueError(
-            f"unknown {axis} {sorted(unknown) if unknown else value!r}; "
-            f"known: {', '.join(all_values)}"
-        )
-    return names
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis import geomean_table_rows
 
-    try:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        datasets = _split_axis(args.datasets, all_values=dataset_names(), axis="datasets")
-        models = _split_axis(args.models, all_values=list(MODEL_FAMILIES), axis="models")
-        backends = _split_axis(args.backends, all_values=executor_names(), axis="backends")
-        chips = [int(part) for part in args.chips.split(",") if part.strip()]
-        if not chips or any(count < 1 for count in chips):
-            raise ValueError("--chips must be a comma-separated list of integers >= 1")
-        configs = (
-            [design_preset(name) for name in args.designs.split(",") if name.strip()]
-            if args.designs
-            else None
-        )
-        retry = RetryPolicy(
-            max_attempts=args.max_attempts if args.max_attempts is not None else 2,
-            timeout_seconds=args.timeout,
-            failed_rows=not args.strict,
-        )
-        if args.faults:
-            from repro.faults import install_plan
+    retry = RetryPolicy(
+        max_attempts=args.max_attempts,
+        timeout_seconds=args.timeout,
+        failed_rows=not args.strict,
+    )
+    if args.faults:
+        from repro.faults import FaultPlan, install_plan
 
-            # Validate eagerly so a bad plan fails here, not inside a worker.
-            from repro.faults import FaultPlan
-
-            if args.faults.lstrip().startswith("{"):
-                FaultPlan.from_json(args.faults)
-            else:
-                with open(args.faults) as handle:
-                    FaultPlan.from_json(handle.read())
-            install_plan(args.faults)
-        store = ResultStore(args.store, resume=not args.no_resume)
-    except (OSError, ValueError, KeyError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        # Validate eagerly so a bad plan fails here, not inside a worker.
+        if args.faults.lstrip().startswith("{"):
+            FaultPlan.from_json(args.faults)
+        else:
+            with open(args.faults) as handle:
+                FaultPlan.from_json(handle.read())
+        install_plan(args.faults)
+    store = ResultStore(args.store, resume=not args.no_resume)
     matrix = ScenarioMatrix.build(
-        datasets,
-        models,
-        backends=backends,
-        configs=configs,
+        args.datasets,
+        args.models,
+        backends=args.backends,
+        configs=[design_preset(name) for name in args.designs] if args.designs else None,
         scale=args.scale,
         seed=args.seed,
-        chips=chips,
+        chips=args.chips,
     )
-
-    tracer = metrics = None
-    if args.trace:
-        from repro.obs import MetricsRegistry, Tracer
-
-        tracer = Tracer()
-        metrics = MetricsRegistry()
 
     started = time.perf_counter()
 
@@ -1041,32 +1035,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     try:
-        summary = run_sweep(
-            matrix,
-            store=store,
-            jobs=args.jobs,
-            progress=progress,
-            tracer=tracer,
-            metrics=metrics,
-            retry=retry,
+        summary = _run_fleet(
+            args,
+            "fleet",
+            {"command": "sweep", "jobs": args.jobs, "cells": len(matrix)},
+            lambda tracer, metrics: run_sweep(
+                matrix,
+                store=store,
+                jobs=args.jobs,
+                progress=progress,
+                tracer=tracer,
+                metrics=metrics,
+                retry=retry,
+            ),
         )
-    except ValueError as error:  # e.g. an old-format store
-        print(str(error), file=sys.stderr)
-        return 2
     except SweepError as error:  # --strict with permanent failures
         print(f"sweep failed: {error}", file=sys.stderr)
         return 1
-    if args.trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(
-            args.trace,
-            tracer.records,
-            track="pid",
-            metrics=metrics,
-            metadata={"command": "sweep", "jobs": args.jobs, "cells": summary.total},
-        )
-        print(f"fleet trace written to {args.trace}", file=sys.stderr)
     if args.json:
         print(json.dumps(summary.as_dict(), indent=2))
         return 0
@@ -1091,11 +1076,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    import os
-
-    if not os.path.exists(args.store):
-        print(f"no such store: {args.store}", file=sys.stderr)
-        return 2
     action = {"verify": verify_store, "repair": repair_store, "compact": compact_store}[
         args.store_command
     ]
@@ -1127,52 +1107,29 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.analysis.tune_report import tune_report
     from repro.tune import TuneSpec, run_tune
 
-    try:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be >= 1")
-        spec = TuneSpec(
-            dataset=args.dataset,
-            family=args.model,
-            scale=args.scale,
-            seed=args.seed,
-            generations=args.generations,
-            population=args.population,
-            mac_budget=args.mac_budget,
-        )
-        store = ResultStore(args.store, resume=not args.no_resume)
-    except (ValueError, KeyError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    tracer = metrics = None
-    if args.trace:
-        from repro.obs import MetricsRegistry, Tracer
-
-        tracer = Tracer()
-        metrics = MetricsRegistry()
-    try:
-        result = run_tune(
+    spec = TuneSpec(
+        dataset=args.dataset,
+        family=args.model,
+        scale=args.scale,
+        seed=args.seed,
+        generations=args.generations,
+        population=args.population,
+        mac_budget=args.mac_budget,
+    )
+    store = ResultStore(args.store, resume=not args.no_resume)
+    result = _run_fleet(
+        args,
+        "tuning",
+        {"command": "tune", "dataset": spec.dataset, "family": spec.family},
+        lambda tracer, metrics: run_tune(
             spec,
             store=store,
             jobs=args.jobs,
             log=lambda line: print(line, file=sys.stderr),
             tracer=tracer,
             metrics=metrics,
-        )
-    except ValueError as error:  # e.g. an old-format store
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.trace:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(
-            args.trace,
-            tracer.records,
-            track="pid",
-            metrics=metrics,
-            metadata={"command": "tune", "dataset": spec.dataset, "family": spec.family},
-        )
-        print(f"tuning trace written to {args.trace}", file=sys.stderr)
+        ),
+    )
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
         return 0
@@ -1201,9 +1158,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError, KeyError) as error:
+        # A bad user-supplied file, store or spec: one argparse-style line.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        print(f"{args.prog}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -12,8 +12,8 @@ The package splits *what a GNN computes* from *what it costs on a platform*:
   backend registry (GNNIE plus the baseline platforms register here).
 
 Plans handed to any registered executor are structurally verified first by
-:mod:`repro.check.verifier` (memoized per plan content; ``REPRO_NO_VERIFY=1``
-disables) — see the "Static analysis" section of the README for the rules.
+:mod:`repro.check.verifier` (memoized per plan content) — see the "Static
+analysis" section of the README for the rules.
 
 Adding a sixth GNN family means registering one lowering rule; adding a new
 cost model means registering one executor.  Neither requires touching the

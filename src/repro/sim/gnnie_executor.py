@@ -152,8 +152,7 @@ class GNNIEExecutor:
     ) -> InferenceResult:
         """Run one lowered inference on one dataset graph."""
         # Structural verification before any pricing; memoized per plan
-        # content, so batch/sweep reruns cost one dict lookup
-        # (REPRO_NO_VERIFY=1 disables).
+        # content, so batch/sweep reruns cost one dict lookup.
         verify_plan(plan)
         # Auto-sizing sentinel only: an explicit input_buffer_bytes override
         # (e.g. a buffer-sweep cell) is simulated at the capacity it names.

@@ -76,8 +76,9 @@ class RetryPolicy:
 
     Args:
         max_attempts: Executions a work item is charged before it is
-            exhausted (a group then degrades into groups of one; a degraded
-            cell then fails permanently).
+            exhausted.  An exhausted group always degrades into groups of
+            one, so the poisoned cell is isolated; an exhausted degraded
+            cell fails permanently.
         timeout_seconds: Wall-clock budget per submitted group under a
             worker pool; an expired group's worker is terminated, the pool
             rebuilt, and the group charged one failed attempt.  ``None``
@@ -87,8 +88,6 @@ class RetryPolicy:
             further attempt up to ``backoff_max_seconds``.  Jitter is a
             deterministic hash of (cell key, attempt) — replayable chaos.
         backoff_max_seconds: Backoff ceiling.
-        degrade: Whether an exhausted group retries its cells as groups of
-            one to isolate the poisoned cell.
         failed_rows: When ``True`` (the default), permanently-failed cells
             land as explicit ``failed`` store rows and the sweep completes;
             when ``False``, the sweep raises :class:`SweepError` after the
@@ -103,7 +102,6 @@ class RetryPolicy:
     timeout_seconds: float | None = None
     backoff_seconds: float = 0.05
     backoff_max_seconds: float = 2.0
-    degrade: bool = True
     failed_rows: bool = True
     max_disruptions: int = 6
 
@@ -354,7 +352,7 @@ class _Supervisor:
                 self.policy.delay(task.entries[0][0], task.attempt) if charged else 0.0
             )
             return [(task, delay)]
-        if not task.degraded and self.policy.degrade:
+        if not task.degraded:
             # Degrade: retry the group's cells as groups of one with a fresh
             # budget each, so the poisoned cell is isolated and the healthy
             # majority still lands.

@@ -80,6 +80,8 @@ class TuneSpec:
             raise ValueError("generations must be >= 1")
         if self.population < 1:
             raise ValueError("population must be >= 1")
+        if self.mac_budget < 1:
+            raise ValueError("mac_budget must be >= 1")
         if self.backend != "gnnie":
             # The aggregation half of the loop (DesignPoints, Pareto, β)
             # reads GNNIE rows only, and the baseline platforms model fixed

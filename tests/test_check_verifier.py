@@ -28,7 +28,6 @@ from repro.check import (
     verify_plan,
     verify_registered_plans,
 )
-from repro.check.verifier import NO_VERIFY_ENV
 from repro.models.zoo import MODEL_FAMILIES, model_config
 from repro.plan.ir import (
     AdjacencyRef,
@@ -297,24 +296,13 @@ def test_verify_plan_is_memoized_by_content():
     plan_a = _gcn_plan()
     plan_b = _gcn_plan()  # distinct object, equal content
     assert plan_a is not plan_b
-    verify_plan(plan_a)
+    assert verify_plan(plan_a) is plan_a
     after_first = verify_counters()
     verify_plan(plan_b)
     after_second = verify_counters()
     assert after_first["runs"] >= before["runs"]
     assert after_second["runs"] == after_first["runs"]
     assert after_second["hits"] == after_first["hits"] + 1
-
-
-def test_no_verify_env_skips_verification(monkeypatch):
-    plan = _gcn_plan(layers=(_gcn_layer(0, 16, 8), _gcn_layer(1, 6, 4)))
-    with pytest.raises(PlanVerificationError):
-        verify_plan(plan)
-    monkeypatch.setenv(NO_VERIFY_ENV, "1")
-    assert verify_plan(plan) is plan
-    # force=True (the `repro check` path) verifies regardless.
-    with pytest.raises(PlanVerificationError):
-        verify_plan(plan, force=True)
 
 
 def test_executor_rejects_malformed_plan():

@@ -25,7 +25,7 @@ class TestParser:
     def test_cache_defaults(self):
         args = build_parser().parse_args(["cache"])
         assert args.dataset == "cora"
-        assert args.mechanism == "victim,miss,stream"
+        assert args.mechanism == ["victim", "miss", "stream"]
         assert args.policy == "vertex_order"
 
     def test_cache_rejects_unknown_policy(self):
@@ -64,6 +64,51 @@ class TestParser:
             f"repro {command}: error: argument {flag}: invalid {flag[2:]} {value!r}: "
             + ("must be in (0, 1]" if flag == "--scale" else "must be an integer >= 0")
         ]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # User-supplied files and stores that cannot be read or written.
+            ["store", "verify", "--store", "{tmp}"],
+            ["store", "repair", "--store", "{tmp}"],
+            ["store", "verify", "--store", "{tmp}/missing.jsonl"],
+            ["tune", "--store", "{tmp}"],
+            ["check", "--paths", "{tmp}/missing"],
+            ["profile", "--scale", "0.05", "--trace-out", "{tmp}/missing/t.json"],
+            ["sweep", "--faults", '{"oops": 1}', "--store", "{tmp}/s.jsonl"],
+            # Counts, durations and lists checked by argparse converters.
+            ["tune", "--mac-budget", "0"],
+            ["tune", "--mac-budget", "-5"],
+            ["tune", "--jobs", "0"],
+            ["tune", "--generations", "0"],
+            ["sweep", "--designs", ""],
+            ["sweep", "--chips", "a"],
+            ["sweep", "--chips", "0"],
+            ["sweep", "--jobs", "0"],
+            ["sweep", "--max-attempts", "0"],
+            ["sweep", "--timeout", "-1"],
+            ["sweep", "--datasets", "foo"],
+            ["plan", "--chips", "0"],
+            ["compare", "--chips", "-1"],
+            ["cache", "--feature-length", "0"],
+            ["cache", "--mechanism", "foo"],
+            ["cache", "--stream-depth", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_fail_with_one_error_line(self, argv, tmp_path, capsys):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        assert code == 2
+        err = capsys.readouterr().err
+        command = " ".join(arg for arg in argv[:2] if not arg.startswith("-"))
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro {command}: error:")
         assert "Traceback" not in err
 
 
@@ -223,14 +268,16 @@ class TestCommands:
         assert "mru" in output and "static_partition" in output
 
     def test_cache_command_rejects_unknown_mechanism(self, capsys):
-        assert main(["cache", "--dataset", "cora", "--mechanism", "belady"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--dataset", "cora", "--mechanism", "belady"])
+        assert excinfo.value.code == 2
         assert "unknown mechanisms" in capsys.readouterr().err
 
 
 class TestProfileCommand:
     def test_parser_accepts_family_and_model_alias(self):
-        assert build_parser().parse_args(["profile", "--family", "gat"]).family == "gat"
-        assert build_parser().parse_args(["profile", "--model", "gat"]).family == "gat"
+        assert build_parser().parse_args(["profile", "--family", "gat"]).model == "gat"
+        assert build_parser().parse_args(["profile", "--model", "gat"]).model == "gat"
 
     def test_profile_table_output(self, capsys):
         assert main(["profile", "--dataset", "cora", "--family", "gcn", "--scale", "0.2"]) == 0

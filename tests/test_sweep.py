@@ -573,9 +573,13 @@ class TestStoreBackedAggregation:
 class TestSweepCLI:
     def test_parser_defaults(self):
         from repro.cli import build_parser
+        from repro.datasets import dataset_names
+        from repro.models import MODEL_FAMILIES
+        from repro.plan import executor_names
 
         args = build_parser().parse_args(["sweep"])
-        assert args.datasets == "all" and args.models == "all" and args.backends == "all"
+        assert args.datasets == dataset_names() and args.models == list(MODEL_FAMILIES)
+        assert args.backends == list(executor_names())
         assert args.jobs == 1 and args.store == "sweep.jsonl" and not args.no_resume
 
     def test_sweep_command_then_resume(self, tmp_path, capsys):
@@ -614,12 +618,16 @@ class TestSweepCLI:
 
     def test_sweep_rejects_unknown_axis_values(self, tmp_path, capsys):
         argv = ["sweep", "--datasets", "imagenet", "--store", str(tmp_path / "x.jsonl")]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
         assert "unknown datasets" in capsys.readouterr().err
 
     def test_sweep_rejects_bad_jobs_and_scale(self, tmp_path, capsys):
         store = str(tmp_path / "x.jsonl")
-        assert main(["sweep", "--jobs", "0", "--store", store]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--jobs", "0", "--store", store])
+        assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--scale", "2.0", "--store", store])

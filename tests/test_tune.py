@@ -130,6 +130,9 @@ class TestRunTune:
             TuneSpec(dataset="cora", generations=0)
         with pytest.raises(ValueError):
             TuneSpec(dataset="cora", population=0)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="mac_budget"):
+                TuneSpec(dataset="cora", mac_budget=budget)
 
     def test_spec_normalizes_axis_case(self):
         """A mixed-case spec must hash to the lowercase spec's cells, so
@@ -221,10 +224,11 @@ class TestTuneCLI:
 
     def test_tune_rejects_bad_arguments(self, tmp_path, capsys):
         store = str(tmp_path / "x.jsonl")
-        assert main(["tune", "--jobs", "0", "--store", store]) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert main(["tune", "--generations", "0", "--store", store]) == 2
-        assert "generations" in capsys.readouterr().err
+        for flag in ("--jobs", "--generations"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["tune", flag, "0", "--store", store])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_tune_reports_old_format_store_cleanly(self, tmp_path, capsys):
         store = tmp_path / "old.jsonl"
