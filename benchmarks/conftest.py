@@ -23,7 +23,8 @@ import pytest
 from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -51,18 +52,19 @@ def citation_datasets(datasets):
 
 
 @pytest.fixture(scope="session")
-def gnnie_simulator():
-    """A shared simulator so cache-policy simulations are reused across benches."""
-    return GNNIESimulator(AcceleratorConfig())
+def gnnie_executor():
+    """A shared executor so cache-policy simulations are reused across benches."""
+    return GNNIEExecutor(AcceleratorConfig())
 
 
 @pytest.fixture(scope="session")
-def gnnie_run(gnnie_simulator, datasets):
+def gnnie_run(gnnie_executor, datasets):
     """Memoized GNNIE inference runner keyed by (dataset, family)."""
 
     @functools.lru_cache(maxsize=None)
     def run(dataset_name: str, family: str):
-        return gnnie_simulator.run(datasets[dataset_name], family)
+        graph = datasets[dataset_name]
+        return gnnie_executor.execute(lower(family, graph), graph)
 
     return run
 

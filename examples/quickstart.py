@@ -8,7 +8,8 @@ This walks through the core public API in five steps:
    power-law degrees),
 3. run the functional GNN reference model to get actual outputs,
 4. simulate the same inference on the GNNIE accelerator model,
-5. compare against the PyG-CPU and PyG-GPU baseline cost models.
+5. compare against the PyG-CPU and PyG-GPU baseline cost models, priced
+   as sweep cells and paired by the same ``speedup_rows`` the figures use.
 
 Run with:  python examples/quickstart.py
 """
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compare_against_platform, format_table
-from repro.baselines import PyGCPUModel, PyGGPUModel
+from repro.analysis import format_table, speedup_rows
 from repro.datasets import build_dataset
 from repro.hw import AcceleratorConfig
 from repro.models import build_model
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
+from repro.sweep import SweepCell, run_cell
 
 
 def main() -> None:
@@ -58,14 +60,14 @@ def main() -> None:
     # 4. Simulate the inference on GNNIE.
     # ------------------------------------------------------------------ #
     config = AcceleratorConfig()
-    simulator = GNNIESimulator(config)
+    executor = GNNIEExecutor(config)
     print(f"\nGNNIE configuration: {config.num_rows}x{config.num_cols} CPEs, "
           f"{config.total_macs} MACs @ {config.frequency_hz / 1e9:.1f} GHz, "
-          f"chip area ~{simulator.chip_area_mm2():.1f} mm^2")
+          f"chip area ~{executor.chip_area_mm2():.1f} mm^2")
 
     rows = []
     for family in ("gcn", "gat", "graphsage", "ginconv", "diffpool"):
-        result = simulator.run(graph, family)
+        result = executor.execute(lower(family, graph), graph)
         rows.append(
             {
                 "model": family.upper(),
@@ -82,18 +84,20 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 5. Compare against the software baselines.
     # ------------------------------------------------------------------ #
-    gcn_result = simulator.run(graph, "gcn")
-    comparison = []
-    for platform in (PyGCPUModel(), PyGGPUModel()):
-        entry = compare_against_platform(gcn_result, graph, platform)
-        comparison.append(
-            {
-                "baseline": entry.platform,
-                "baseline_latency_ms": round(entry.baseline_latency_s * 1e3, 3),
-                "gnnie_latency_us": round(entry.gnnie_latency_s * 1e6, 2),
-                "speedup": round(entry.speedup, 1),
-            }
-        )
+    cells = [
+        SweepCell("cora", None, 0, "gcn", backend) for backend in ("gnnie", "pyg-cpu", "pyg-gpu")
+    ]
+    cell_rows = [run_cell(cell, graph) for cell in cells]
+    latency = {row["backend"]: row["metrics"]["latency_seconds"] for row in cell_rows}
+    comparison = [
+        {
+            "baseline": entry["backend"],
+            "baseline_latency_ms": round(latency[entry["backend"]] * 1e3, 3),
+            "gnnie_latency_us": round(latency["gnnie"] * 1e6, 2),
+            "speedup": round(entry["speedup"], 1),
+        }
+        for entry in speedup_rows(cell_rows)
+    ]
     print()
     print(format_table(comparison, title="GCN: GNNIE vs software baselines"))
 

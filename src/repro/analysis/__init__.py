@@ -9,19 +9,15 @@ from repro.analysis.miss_path import (
 from repro.analysis.reporting import format_scientific, format_series, format_table
 from repro.analysis.roofline import PhaseRoofline, RooflineSummary, roofline_analysis
 from repro.analysis.sparsity import NonzeroHistogram, feature_nonzero_histogram
-from repro.analysis.speedup import (
-    SpeedupEntry,
-    compare_against_platform,
-    geometric_mean,
-    speedup_table,
-)
 from repro.analysis.sweep_aggregate import (
     backend_geomeans,
     beta_rows,
     design_points_from_rows,
     geomean_table_rows,
+    geometric_mean,
     load_rows,
     pareto_rows,
+    speedup_entry,
     speedup_rows,
 )
 from repro.analysis.tune_report import tune_report, tune_table_rows
@@ -43,16 +39,14 @@ __all__ = [
     "RooflineSummary",
     "roofline_analysis",
     "feature_nonzero_histogram",
-    "SpeedupEntry",
-    "compare_against_platform",
     "geometric_mean",
-    "speedup_table",
     "backend_geomeans",
     "beta_rows",
     "design_points_from_rows",
     "geomean_table_rows",
     "load_rows",
     "pareto_rows",
+    "speedup_entry",
     "speedup_rows",
     "tune_report",
     "tune_table_rows",

@@ -9,9 +9,11 @@ any simulation:
   :class:`~repro.sim.design_space.DesignPoint` objects from GNNIE rows and
   reuse :func:`~repro.sim.design_space.pareto_front` for the latency/area
   front of a configuration sweep,
+* :func:`speedup_entry` — the one GNNIE-relative speedup/energy-gain
+  formula, shared by :func:`speedup_rows` and ``repro compare``,
 * :func:`speedup_rows` / :func:`backend_geomeans` — GNNIE-relative speedups
   per (dataset, family) and the per-backend geometric means the paper
-  headlines (Figs. 12–13), via :func:`~repro.analysis.speedup.geometric_mean`.
+  headlines (Figs. 12–13), via :func:`geometric_mean`.
 """
 
 from __future__ import annotations
@@ -21,21 +23,32 @@ import math
 import os
 from typing import Iterable
 
-from repro.analysis.speedup import geometric_mean
+import numpy as np
+
 from repro.hw.config import AcceleratorConfig
 from repro.sim.design_space import DesignPoint, pareto_front
 from repro.sweep.matrix import config_from_dict
 from repro.sweep.store import ResultStore, is_failed_row
 
 __all__ = [
+    "geometric_mean",
     "load_rows",
     "design_points_from_rows",
     "pareto_rows",
+    "speedup_entry",
     "speedup_rows",
     "beta_rows",
     "backend_geomeans",
     "geomean_table_rows",
 ]
+
+
+def geometric_mean(values: list[float]) -> float:
+    """Geometric mean (the paper's "average speedup" across datasets)."""
+    array = np.asarray([value for value in values if value > 0], dtype=np.float64)
+    if array.size == 0:
+        return 0.0
+    return float(np.exp(np.mean(np.log(array))))
 
 
 def _config_key(row: dict) -> str:
@@ -153,19 +166,44 @@ def beta_rows(
     return entries
 
 
+def speedup_entry(row: dict, reference_row: dict) -> dict:
+    """GNNIE-relative speedup and energy gain of one baseline row.
+
+    ``speedup`` is the baseline row's latency over the GNNIE reference row's
+    latency, ``energy_gain`` the same ratio for energy — the quantities
+    plotted in Figs. 12, 13 and 15.  The caller chooses the pairing:
+    :func:`speedup_rows` pairs rows of one workload key, ``repro compare``
+    pairs a ``--chips N`` fleet with single-chip baselines.
+    """
+    metrics = row["metrics"]
+    reference = reference_row["metrics"]
+    return {
+        "dataset": row["dataset"],
+        "scale": row.get("scale"),
+        "seed": row.get("seed"),
+        "family": row["family"],
+        "backend": row["backend"],
+        "speedup": metrics["latency_seconds"] / reference["latency_seconds"],
+        "energy_gain": (
+            metrics["energy_joules"] / reference["energy_joules"]
+            if reference["energy_joules"] > 0
+            else float("inf")
+        ),
+    }
+
+
 def speedup_rows(rows: Iterable[dict]) -> list[dict]:
     """GNNIE-relative speedup and energy-gain per workload and backend.
 
     For every (dataset, scale, seed, chips, family, config) with a GNNIE
-    row, each supported baseline row becomes one entry: ``speedup`` is
-    baseline latency over GNNIE latency, ``energy_gain`` the same ratio for
-    energy — the quantities plotted in Figs. 12, 13 and 15.  Pairing uses
-    the full :func:`_axis_key`, so a multi-scale/multi-seed store compares
-    each baseline row against the GNNIE row of *its own* workload instead
-    of whichever scale's reference loaded last; failed rows never pair.
+    row, each supported baseline row becomes one :func:`speedup_entry`.
+    Pairing uses the full :func:`_axis_key`, so a multi-scale/multi-seed
+    store compares each baseline row against the GNNIE row of *its own*
+    workload instead of whichever scale's reference loaded last; failed
+    rows never pair.
     """
     rows = list(rows)
-    gnnie = {_axis_key(row): row["metrics"] for row in _gnnie_rows(rows)}
+    gnnie = {_axis_key(row): row for row in _gnnie_rows(rows)}
     entries: list[dict] = []
     for row in rows:
         if (
@@ -176,24 +214,9 @@ def speedup_rows(rows: Iterable[dict]) -> list[dict]:
         ):
             continue
         reference = gnnie.get(_axis_key(row))
-        if reference is None or reference["latency_seconds"] <= 0:
+        if reference is None or reference["metrics"]["latency_seconds"] <= 0:
             continue
-        metrics = row["metrics"]
-        entries.append(
-            {
-                "dataset": row["dataset"],
-                "scale": row.get("scale"),
-                "seed": row.get("seed"),
-                "family": row["family"],
-                "backend": row["backend"],
-                "speedup": metrics["latency_seconds"] / reference["latency_seconds"],
-                "energy_gain": (
-                    metrics["energy_joules"] / reference["energy_joules"]
-                    if reference["energy_joules"] > 0
-                    else float("inf")
-                ),
-            }
-        )
+        entries.append(speedup_entry(row, reference))
     return entries
 
 

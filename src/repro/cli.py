@@ -92,28 +92,28 @@ from typing import Callable, Sequence
 import repro
 from repro.analysis import (
     TRACE_POLICIES,
-    compare_against_platform,
     format_table,
     miss_path_ablation_rows,
+    speedup_entry,
 )
 from repro.analysis.roofline import roofline_analysis
-from repro.baselines import AWBGCNModel, HyGCNModel, PyGCPUModel, PyGGPUModel
-from repro.baselines.engn import EnGNModel
 from repro.cache import MissPathConfig, mechanism_names
 from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.hw import DESIGN_PRESETS, AcceleratorConfig, design_preset
 from repro.models import MODEL_FAMILIES
-from repro.plan import executor_names, lower
-from repro.sim import GNNIESimulator, input_buffer_capacity
+from repro.plan import executor, executor_names, lower
+from repro.sim import GNNIEExecutor, input_buffer_capacity
 from repro.sim.trace import phase_table, result_to_json
 from repro.sweep import (
     ResultStore,
     RetryPolicy,
     ScenarioMatrix,
+    SweepCell,
     SweepError,
     compact_store,
     is_failed_row,
     repair_store,
+    run_batch_timed,
     run_sweep,
     verify_store,
 )
@@ -609,7 +609,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     graph, config = _graph(args), _config(args)
-    result = GNNIESimulator(config).run(graph, args.model)
+    result = GNNIEExecutor(config).execute(lower(args.model, graph), graph)
     if args.json:
         print(result_to_json(result))
         return 0
@@ -647,7 +647,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     graph, config = _graph(args), _config(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
-    result = GNNIESimulator(config, tracer=tracer, metrics=metrics).run(graph, args.model)
+    result = GNNIEExecutor(config, tracer=tracer, metrics=metrics).execute(
+        lower(args.model, graph), graph
+    )
 
     metadata = {
         "dataset": graph.name,
@@ -875,47 +877,48 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro compare`` backends in display order (``executor_names()`` is
+#: alphabetical): GNNIE first, then the paper's comparison platforms.
+_COMPARE_BACKENDS = ("gnnie", "pyg-cpu", "pyg-gpu", "hygcn", "awb-gcn", "engn")
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     graph, config = _graph(args), _config(args)
-    if args.chips == 1:
-        result = GNNIESimulator(config).run(graph, args.model)
-        gnnie_label = "GNNIE"
-    else:
-        from repro.scaleout import execute_scaleout
-        from repro.sim import GNNIEExecutor
-
-        plan = lower(args.model, graph)
-        result = execute_scaleout(
-            GNNIEExecutor(config), plan, graph, config, chips=args.chips
+    # One sweep group over the CLI-built graph: the GNNIE fleet at --chips,
+    # the baselines single-chip (they model fixed single-device silicon).
+    cells = [
+        SweepCell(
+            args.dataset,
+            args.scale,
+            args.seed,
+            args.model,
+            backend,
+            config,
+            chips=args.chips if backend == "gnnie" else 1,
         )
-        gnnie_label = f"GNNIE x{args.chips}"
-    platforms = [PyGCPUModel(), PyGGPUModel(), HyGCNModel(), AWBGCNModel(), EnGNModel()]
+        for backend in _COMPARE_BACKENDS
+    ]
+    gnnie, *baselines = [row for row, _, _ in run_batch_timed(cells, graph)]
     rows = [
         {
-            "platform": gnnie_label,
+            "platform": "GNNIE" if args.chips == 1 else f"GNNIE x{args.chips}",
             "supported": True,
-            "latency_ms": round(result.latency_seconds * 1e3, 4),
+            "latency_ms": round(gnnie["metrics"]["latency_seconds"] * 1e3, 4),
             "speedup": 1.0,
         }
     ]
-    for platform in platforms:
-        if not platform.supports(args.model):
-            rows.append(
-                {
-                    "platform": platform.name,
-                    "supported": False,
-                    "latency_ms": None,
-                    "speedup": None,
-                }
-            )
-            continue
-        entry = compare_against_platform(result, graph, platform)
+    for row in baselines:
+        supported = row["supported"]
         rows.append(
             {
-                "platform": platform.name,
-                "supported": True,
-                "latency_ms": round(entry.baseline_latency_s * 1e3, 4),
-                "speedup": round(entry.speedup, 2),
+                "platform": executor(row["backend"]).name,
+                "supported": supported,
+                "latency_ms": (
+                    round(row["metrics"]["latency_seconds"] * 1e3, 4) if supported else None
+                ),
+                "speedup": (
+                    round(speedup_entry(row, gnnie)["speedup"], 2) if supported else None
+                ),
             }
         )
     if args.json:
@@ -940,10 +943,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_designs(args: argparse.Namespace) -> int:
     graph = _graph(args)
+    plan = lower(args.model, graph)
     rows = []
     for name in ("A", "B", "C", "D", "E"):
         config = design_preset(name)
-        result = GNNIESimulator(config).run(graph, args.model)
+        result = GNNIEExecutor(config).execute(plan, graph)
         rows.append(
             {
                 "design": config.name,

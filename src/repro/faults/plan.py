@@ -32,6 +32,25 @@ _MATCH_KEYS = {
 }
 
 
+#: JSON type of each typed :class:`FaultSpec` field, checked by
+#: :meth:`FaultSpec.from_dict`: (accepted types, what the error calls it).
+_FIELD_TYPES = {
+    "match": (Mapping, "an object"),
+    "times": (int, "an integer"),
+    "exit_code": (int, "an integer"),
+    "probability": ((int, float), "a number"),
+    "hang_seconds": ((int, float), "a number"),
+}
+
+
+def _check_type(name: str, value: object, types, noun: str) -> None:
+    """Reject a wrongly-typed plan field (a JSON ``true`` is no number)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(
+            f"fault plan field {name!r} must be {noun}, not {type(value).__name__}"
+        )
+
+
 class InjectedFault(RuntimeError):
     """Raised at a fault site armed by the active :class:`FaultPlan`.
 
@@ -122,10 +141,15 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultSpec":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a fault spec must be an object, not {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - set of names
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown FaultSpec fields {sorted(unknown)}")
+        for name, (types, noun) in _FIELD_TYPES.items():
+            if name in data:
+                _check_type(name, data[name], types, noun)
         return cls(**dict(data))
 
 
@@ -167,7 +191,8 @@ class FaultPlan:
         unknown = set(data) - {"seed", "specs"}
         if unknown:
             raise ValueError(f"unknown FaultPlan fields {sorted(unknown)}")
-        return cls(
-            specs=tuple(FaultSpec.from_dict(entry) for entry in data.get("specs", ())),
-            seed=int(data.get("seed", 0)),
-        )
+        specs = data.get("specs", [])
+        _check_type("specs", specs, list, "a list of objects")
+        seed = data.get("seed", 0)
+        _check_type("seed", seed, int, "an integer")
+        return cls(specs=tuple(FaultSpec.from_dict(entry) for entry in specs), seed=seed)

@@ -8,19 +8,16 @@ import pytest
 from repro.analysis import (
     alpha_round_histograms,
     beta_metric,
-    compare_against_platform,
     design_beta_study,
     feature_nonzero_histogram,
     format_scientific,
     format_series,
     format_table,
     geometric_mean,
-    speedup_table,
     weighting_row_profile,
 )
-from repro.baselines import PyGCPUModel
 from repro.hw import AcceleratorConfig
-from repro.sim import GNNIESimulator, run_cache_simulation
+from repro.sim import run_cache_simulation
 
 
 class TestSparsityHistogram:
@@ -78,23 +75,10 @@ class TestRowProfileAndBeta:
 
 
 class TestSpeedupHelpers:
-    def test_compare_against_platform(self, tiny_graph):
-        gnnie = GNNIESimulator().run(tiny_graph, "gcn")
-        entry = compare_against_platform(gnnie, tiny_graph, PyGCPUModel())
-        assert entry.speedup > 1
-        assert entry.energy_efficiency_gain > 0
-        assert entry.platform == "PyG-CPU"
-
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
         assert geometric_mean([]) == 0.0
         assert geometric_mean([5.0, 0.0]) == pytest.approx(5.0)
-
-    def test_speedup_table_structure(self, tiny_graph):
-        gnnie = GNNIESimulator().run(tiny_graph, "gcn")
-        entry = compare_against_platform(gnnie, tiny_graph, PyGCPUModel())
-        table = speedup_table([entry])
-        assert table["GCN"][tiny_graph.name] == pytest.approx(entry.speedup)
 
 
 class TestReporting:

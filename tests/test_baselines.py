@@ -12,7 +12,8 @@ from repro.baselines import (
     estimate_workload,
 )
 from repro.models import MODEL_FAMILIES
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 
 class TestWorkloadEstimator:
@@ -103,7 +104,7 @@ class TestGNNIEAgainstBaselines:
 
     @pytest.fixture(scope="class")
     def gnnie_result(self, small_cora):
-        return GNNIESimulator().run(small_cora, "gcn")
+        return GNNIEExecutor().execute(lower("gcn", small_cora), small_cora)
 
     def test_faster_than_cpu_by_orders_of_magnitude(self, gnnie_result, small_cora):
         cpu = PyGCPUModel().evaluate(small_cora, estimate_workload(small_cora, "gcn"))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import EnGNModel, HyGCNModel, PyGCPUModel, estimate_workload
-from repro.sim import GNNIESimulator
+from repro.plan import lower
+from repro.sim import GNNIEExecutor
 
 
 class TestEnGNModel:
@@ -51,7 +52,7 @@ class TestEnGNModel:
         )
 
     def test_gnnie_faster_than_engn(self, engn, small_cora):
-        gnnie = GNNIESimulator().run(small_cora, "gcn")
+        gnnie = GNNIEExecutor().execute(lower("gcn", small_cora), small_cora)
         baseline = engn.evaluate(small_cora, estimate_workload(small_cora, "gcn"))
         assert baseline.latency_seconds / gnnie.latency_seconds > 1.5
 

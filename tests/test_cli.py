@@ -77,6 +77,9 @@ class TestParser:
             ["check", "--paths", "{tmp}/missing"],
             ["profile", "--scale", "0.05", "--trace-out", "{tmp}/missing/t.json"],
             ["sweep", "--faults", '{"oops": 1}', "--store", "{tmp}/s.jsonl"],
+            ["sweep", "--faults", '{"specs": 1}', "--store", "{tmp}/s.jsonl"],
+            ["sweep", "--faults", '{"specs": [{"match": 3}]}', "--store", "{tmp}/s.jsonl"],
+            ["sweep", "--faults", '{"specs": [{"times": "x"}]}', "--store", "{tmp}/s.jsonl"],
             # Counts, durations and lists checked by argparse converters.
             ["tune", "--mac-budget", "0"],
             ["tune", "--mac-budget", "-5"],
@@ -224,6 +227,51 @@ class TestCommands:
         assert all(
             isinstance(row["speedup"], float) for row in rows if row["supported"]
         )
+
+    def test_compare_multi_chip_json_divides_baseline_by_fleet_latency(self, capsys):
+        from repro.datasets import build_dataset
+        from repro.plan import executor, lower
+        from repro.scaleout import execute_scaleout
+        from repro.sim import GNNIEExecutor
+
+        argv = ["compare", "--dataset", "cora", "--model", "gcn", "--scale", "0.1"]
+        assert main(argv + ["--chips", "2", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["chips"] == 2
+        rows = document["rows"]
+        assert len(rows) == 6
+        assert rows[0]["platform"] == "GNNIE x2"
+        graph = build_dataset("cora", scale=0.1, seed=0)
+        plan = lower("gcn", graph)
+        fleet = execute_scaleout(GNNIEExecutor(), plan, graph, None, chips=2).latency_seconds
+        assert rows[0]["latency_ms"] == round(fleet * 1e3, 4)
+        # The baselines run single-chip; each ratio is over the fleet latency.
+        for row, backend in zip(rows[1:], ("pyg-cpu", "pyg-gpu", "hygcn", "awb-gcn", "engn")):
+            platform = executor(backend)
+            baseline = platform.execute(plan, graph).latency_seconds
+            assert row["platform"] == platform.name
+            assert row["supported"] is True
+            assert row["latency_ms"] == round(baseline * 1e3, 4)
+            assert row["speedup"] == round(baseline / fleet, 2)
+
+    def test_compare_single_chip_json_matches_speedup_rows(self, capsys):
+        from repro.analysis import speedup_rows
+        from repro.sweep import SweepCell, run_cell
+
+        backends = ("gnnie", "pyg-cpu", "pyg-gpu", "hygcn", "awb-gcn", "engn")
+        argv = ["compare", "--dataset", "cora", "--model", "gat", "--scale", "0.1", "--json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        cell_rows = [run_cell(SweepCell("cora", 0.1, 0, "gat", backend)) for backend in backends]
+        entries = {entry["backend"]: entry for entry in speedup_rows(cell_rows)}
+        assert len(rows) == len(backends)
+        assert rows[0]["latency_ms"] == round(cell_rows[0]["metrics"]["latency_seconds"] * 1e3, 4)
+        for row, cell_row in zip(rows[1:], cell_rows[1:]):
+            assert row["supported"] is cell_row["supported"]
+            entry = entries.get(cell_row["backend"])
+            assert (entry is not None) is cell_row["supported"]
+            if entry is not None:
+                assert row["speedup"] == round(entry["speedup"], 2)
 
     def test_compare_marks_unsupported_platforms(self, capsys):
         assert main(["compare", "--dataset", "cora", "--model", "gat", "--scale", "0.1"]) == 0

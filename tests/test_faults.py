@@ -55,6 +55,23 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown FaultSpec fields"):
             FaultPlan.from_json('{"specs": [{"site": "cell", "typo": 1}]}')
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"specs": 1}', "specs"),
+            ('{"specs": [1]}', "fault spec"),
+            ('{"seed": 1.5}', "seed"),
+            ('{"specs": [{"match": 3}]}', "match"),
+            ('{"specs": [{"times": "x"}]}', "times"),
+            ('{"specs": [{"exit_code": 1.0}]}', "exit_code"),
+            ('{"specs": [{"probability": "1"}]}', "probability"),
+            ('{"specs": [{"hang_seconds": true}]}', "hang_seconds"),
+        ],
+    )
+    def test_wrongly_typed_fields_rejected(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan.from_json(text)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultSpec(site="nowhere")

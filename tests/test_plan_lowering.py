@@ -25,7 +25,7 @@ from repro.plan import (
     lowering_families,
     register_lowering,
 )
-from repro.sim import GNNIEExecutor, GNNIESimulator
+from repro.sim import GNNIEExecutor
 from repro.sim.results import InferenceResult
 
 
@@ -171,7 +171,7 @@ class TestLoweringEdgeCases:
         # Only the first layer reads the actual feature matrix.
         input_flags = [l.find(WeightingOp).is_input_layer for l in plan.layers]
         assert input_flags == [True, False, False, False]
-        result = GNNIESimulator().run(tiny_graph, "gcn", model_cfg=cfg, out_features=6)
+        result = GNNIEExecutor().execute(plan, tiny_graph)
         assert len(result.layers) == 4
         assert result.total_cycles > 0
 
@@ -180,7 +180,7 @@ class TestLoweringEdgeCases:
         plan = lower_model(cfg, tiny_graph.feature_length, 5)
         assert plan.layers[0].out_features == 48
         assert plan.layers[0].find(AttentionOp).out_features == 48
-        result = GNNIESimulator().run(tiny_graph, "gat", model_cfg=cfg, out_features=5)
+        result = GNNIEExecutor().execute(plan, tiny_graph)
         assert result.layers[0].out_features == 48
         assert result.total_cycles > 0
 
@@ -189,7 +189,7 @@ class TestLoweringEdgeCases:
         plan = lower_model(cfg, tiny_graph.feature_length, 4)
         # The Table III default of 25 neighbors applies.
         assert all(l.find(SampleOp).sample_size == 25 for l in plan.layers)
-        result = GNNIESimulator().run(tiny_graph, "graphsage", model_cfg=cfg)
+        result = GNNIEExecutor().execute(lower("graphsage", tiny_graph, config=cfg), tiny_graph)
         assert result.total_cycles > 0
 
     def test_deep_ginconv_executes_on_baselines(self, tiny_graph):

@@ -13,7 +13,7 @@ from repro.obs import Tracer
 from repro.plan import HaloExchangeOp, lower
 from repro.plan.executor import executor
 from repro.scaleout import execute_scaleout, partition_workload
-from repro.sim import GNNIEExecutor, ScaleOutResult, results_to_csv
+from repro.sim import GNNIEExecutor, ScaleOutResult
 from repro.sim.batch import pricing_context
 from repro.sweep import SCALEOUT_ROW_FORMAT, ScenarioMatrix, SweepCell, run_cell
 from repro.sweep.worker import run_batch_timed
@@ -240,16 +240,17 @@ class TestScaleoutAggregation:
         )
 
 
-class TestScaleoutCsv:
-    def test_mixed_results_append_scaleout_columns(self, graph, backend):
+class TestScaleoutSummary:
+    def test_scaleout_keys_follow_the_plain_summary_only_when_multi_chip(
+        self, graph, backend
+    ):
         plan = lower("gcn", graph)
-        plain = backend.execute(plan, graph, None)
-        scaled = execute_scaleout(backend, plan, graph, None, chips=2)
-        csv_plain = results_to_csv([plain])
-        csv_mixed = results_to_csv([plain, scaled])
-        header_plain = csv_plain.splitlines()[0]
-        header_mixed = csv_mixed.splitlines()[0]
-        assert header_mixed.startswith(header_plain)
-        assert "halo_bytes" in header_mixed
-        # Plain-only exports keep their exact pre-scale-out bytes.
-        assert csv_plain == results_to_csv([plain])
+        plain = list(backend.execute(plan, graph, None).summary())
+        scaled = list(execute_scaleout(backend, plan, graph, None, chips=2).summary())
+        assert scaled == plain + [
+            "chips", "partition_method", "chip_imbalance", "communication_cycles",
+            "halo_vertices", "halo_bytes",
+        ]
+        # A one-chip ScaleOutResult reports exactly the plain summary keys.
+        one_chip = ScaleOutResult(dataset="", model="", config_name="", num_chips=1)
+        assert list(one_chip.summary()) == plain

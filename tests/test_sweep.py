@@ -10,7 +10,8 @@ import pytest
 from repro.analysis import backend_geomeans, design_points_from_rows, pareto_rows, speedup_rows
 from repro.cli import main
 from repro.hw import AcceleratorConfig, design_preset
-from repro.sim import GNNIESimulator, sweep_designs
+from repro.plan import lower
+from repro.sim import GNNIEExecutor, sweep_designs
 from repro.sweep import (
     ALL_BACKENDS,
     DatasetCase,
@@ -425,7 +426,7 @@ class TestDesignSpaceRerouting:
         configs = [design_preset("A"), design_preset("E")]
         points = sweep_designs(tiny_graph, "gcn", configs)
         for config, point in zip(configs, points):
-            direct = GNNIESimulator(config).run(tiny_graph, "gcn")
+            direct = GNNIEExecutor(config).execute(lower("gcn", tiny_graph), tiny_graph)
             assert point.cycles == direct.total_cycles
             assert point.latency_seconds == pytest.approx(direct.latency_seconds, rel=1e-12)
             assert point.energy_joules == pytest.approx(direct.energy_joules, rel=1e-12)
